@@ -36,6 +36,7 @@ let check_micro path doc =
       in
       field "ns_per_op";
       field "minor_words";
+      field "major_words";
       field "r_square")
     benchmarks;
   let has substring =
@@ -77,6 +78,29 @@ let check_micro path doc =
   if daemon_ns "sessions" 4 > daemon_ns "sessions" 1 then
     fail "%s: e22 daemon sessions fan-out=4 slower than fan-out=1 (%g > %g ns)"
       path (daemon_ns "sessions" 4) (daemon_ns "sessions" 1);
+  (* The envelope instances: the checksum kernel and copy-free reader
+     (Reader.create over 1 MiB) and a restarting replica's snapshot
+     decode. Both must carry a finite positive time and measured — not
+     null — allocation figures, since allocation is half of what they
+     exist to show. *)
+  List.iter
+    (fun name ->
+      match List.assoc_opt name benchmarks with
+      | None -> fail "%s: no %S benchmark" path name
+      | Some entry ->
+        List.iter
+          (fun key ->
+            match Option.bind (Json.member key entry) Json.to_float_opt with
+            | Some v when Float.is_finite v -> ()
+            | _ -> fail "%s: benchmark %S lacks a finite %s" path name key)
+          [ "ns_per_op"; "minor_words"; "major_words" ];
+        (match Option.bind (Json.member "ns_per_op" entry) Json.to_float_opt with
+        | Some v when v > 0.0 -> ()
+        | _ -> fail "%s: benchmark %S has a non-positive ns_per_op" path name))
+    [
+      "edb persist codec Reader.create 1 MiB";
+      "edb persist snapshot decode 20k x 128 B";
+    ];
   let experiments =
     require "experiments list"
       (Option.bind (Json.member "experiments" doc) Json.to_list_opt)

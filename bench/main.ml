@@ -429,6 +429,43 @@ let test_e21_idle_pre =
 let test_e21_idle_post =
   Test.make ~name:"e21 idle pull n=16 retired=4" (bench_e21_idle_pull ~retired:4)
 
+(* The envelope every snapshot, WAL record, session frame and control
+   message pays on the way in: the Adler-32 trailer check. Two
+   instances:
+
+   1. [Codec.Reader.create] over a 1 MiB blob — the trailer check alone,
+      so ns/op over 2^20 is the kernel's ns/byte.
+
+   2. [Snapshot.decode] of a 20k × 128 B node — three checksum passes
+      (outer trailer, explicit payload checksum, inner trailer) plus the
+      state decode and import a restarting replica pays. *)
+
+module Codec = Edb_persist.Codec
+
+let test_envelope_reader_create =
+  let blob =
+    let w = Codec.Writer.create () in
+    Codec.Writer.string w
+      (String.init ((1 lsl 20) - 12) (fun i -> Char.chr ((i * 7919) land 0xFF)));
+    Codec.Writer.contents w
+  in
+  Test.make ~name:"persist codec Reader.create 1 MiB"
+    (Staged.stage (fun () -> ignore (Codec.Reader.create blob : Codec.Reader.t)))
+
+let test_envelope_snapshot_decode =
+  let node = Node.create ~id:0 ~n:3 () in
+  for rank = 0 to 19_999 do
+    let name = Workload.item_name rank in
+    Node.update node name
+      (Operation.Set (Workload.payload ~item:name ~seq:1 ~size:128))
+  done;
+  let blob = Snapshot.encode node in
+  Test.make ~name:"persist snapshot decode 20k x 128 B"
+    (Staged.stage (fun () ->
+         match Snapshot.decode blob with
+         | Ok (_ : Node.t) -> ()
+         | Error msg -> failwith msg))
+
 let micro_tests ~shards =
   let test_e18_skip =
     Test.make
@@ -471,6 +508,8 @@ let micro_tests ~shards =
     test_e21_join;
     test_e21_idle_pre;
     test_e21_idle_post;
+    test_envelope_reader_create;
+    test_envelope_snapshot_decode;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -484,6 +523,9 @@ type micro_result = {
   minor_words : float option;
       (* Minor-heap words allocated per operation — the allocation-free
          hot-path regression gate. *)
+  major_words : float option;
+      (* Words allocated directly on the major heap per operation (large
+         strings and arrays) — where the big envelope buffers land. *)
 }
 
 let estimate ols_result =
@@ -495,9 +537,12 @@ let run_micro_benchmarks ~shards () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
-  (* Both instances are recorded in the same run: wall clock for the
-     asymptotic claims, minor words for the allocation claims. *)
-  let instances = Instance.[ monotonic_clock; minor_allocated ] in
+  (* All three instances are recorded in the same run: wall clock for
+     the asymptotic claims, minor and major words for the allocation
+     claims. *)
+  let instances =
+    Instance.[ monotonic_clock; minor_allocated; major_allocated ]
+  in
   let cfg =
     Benchmark.cfg ~limit:3_000 ~quota:(Time.second 0.5) ~stabilize:false
       ~kde:(Some 1_000) ()
@@ -506,6 +551,7 @@ let run_micro_benchmarks ~shards () =
   let raw = Benchmark.all cfg instances grouped in
   let clock_results = Analyze.all ols Instance.monotonic_clock raw in
   let minor_results = Analyze.all ols Instance.minor_allocated raw in
+  let major_results = Analyze.all ols Instance.major_allocated raw in
   let names =
     Hashtbl.fold (fun name _ acc -> name :: acc) clock_results []
     |> List.sort String.compare
@@ -514,154 +560,64 @@ let run_micro_benchmarks ~shards () =
     (fun name ->
       let clock = Hashtbl.find clock_results name in
       let minor = Hashtbl.find_opt minor_results name in
+      let major = Hashtbl.find_opt major_results name in
       {
         name;
         ns_per_op = estimate clock;
         r_square = Analyze.OLS.r_square clock;
         minor_words = Option.bind minor estimate;
+        major_words = Option.bind major estimate;
       })
     names
 
 (* ------------------------------------------------------------------ *)
 (* E22 — daemon throughput: the fork-N select-loop cluster             *)
 (*                                                                     *)
-(* Unlike the in-process micro-benchmarks above, these instances time  *)
-(* the real `edb_cli serve` engine: N forked daemons over Unix-domain  *)
-(* sockets, non-blocking writes, WAL group commit. Two rates per       *)
-(* anti-entropy fan-out (max_sessions = 1 / 4 / 8):                    *)
-(*                                                                     *)
-(*   sessions   — completed initiator sessions (real + no-op) per      *)
-(*                second cluster-wide, from source-side counter deltas *)
-(*                over a fixed idle window;                            *)
-(*   visibility — update-visibility events per second: K updates       *)
-(*                spread round-robin, each visible on the n-1 other    *)
-(*                nodes once `await_converged` returns.                *)
-(*                                                                     *)
-(* fan-out=1 restores the old one-session-at-a-time loop, so the pair  *)
-(* is the before/after for the concurrent event loop. Wall-clock       *)
-(* rates from a 9-process cluster on a shared box, so no OLS fit:      *)
-(* ns_per_op = 1e9 / rate, r² and minor words are n/a.                 *)
+(* The instances live in daemon_bench.ml: they fork daemons, which     *)
+(* OCaml 5 forbids once a process has spawned a domain, as the e16/e18 *)
+(* instances above do on a multi-core host. So they run in their own   *)
+(* executable, started with fork+exec (legal with live domains), each  *)
+(* instance read back as a "name<TAB>ns_per_op" line.                  *)
 (* ------------------------------------------------------------------ *)
 
-module Harness = Edb_transport.Harness
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter
-        (fun name -> rm_rf (Filename.concat path name))
-        (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
-(* Sessions are charged on the source side (`Node.handle_sharded`), so
-   the cluster-wide completed-session count is the sum over all nodes
-   of both session counters. *)
-let daemon_session_total h ~n =
-  let total = ref 0 in
-  for node = 0 to n - 1 do
-    match Harness.counters_of h ~node with
-    | Error msg -> failwith ("daemon bench counters: " ^ msg)
-    | Ok fields ->
-        List.iter
-          (fun (field, v) ->
-            match field with
-            | "propagation_sessions" | "noop_sessions" -> total := !total + v
-            | _ -> ())
-          fields
-  done;
-  !total
-
-let run_daemon_fanout ~quick ~fanout =
-  let n = 9 in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "edb-bench-daemon-%d-f%d" (Unix.getpid ()) fanout)
-  in
-  rm_rf dir;
-  (* 20 ms ticks: the single-session baseline is then bounded by its
-     one-dial-per-tick serialization (the regime the tentpole attacks),
-     not by this container's single core — cranking the tick rate until
-     fan-out=1 saturates the CPU would flatten the very ratio the
-     instances exist to show. *)
-  let h =
-    Harness.start ~ae_period:0.02 ~seed:(41 + fanout) ~max_sessions:fanout
-      ~dir ~n ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Harness.shutdown h;
-      rm_rf dir)
-    (fun () ->
-      (* Warm up to an identical steady state: one update per node,
-         fully converged, every daemon past its boot transient. *)
-      for node = 0 to n - 1 do
-        match
-          Harness.update h ~node
-            ~item:(Printf.sprintf "seed.%d" node)
-            (Operation.Set "s")
-        with
-        | Ok () -> ()
-        | Error msg -> failwith ("daemon bench warm-up update: " ^ msg)
-      done;
-      (match Harness.await_converged ~deadline:60.0 h with
-      | Ok _ -> ()
-      | Error msg -> failwith ("daemon bench warm-up: " ^ msg));
-      let window = if quick then 0.8 else 2.5 in
-      let c0 = daemon_session_total h ~n in
-      let t0 = Unix.gettimeofday () in
-      Unix.sleepf window;
-      let elapsed = Unix.gettimeofday () -. t0 in
-      let c1 = daemon_session_total h ~n in
-      let sessions = max 1 (c1 - c0) in
-      let ns_session = elapsed *. 1e9 /. float_of_int sessions in
-      let k = if quick then 18 else 64 in
-      let t1 = Unix.gettimeofday () in
-      for i = 0 to k - 1 do
-        match
-          Harness.update h ~node:(i mod n)
-            ~item:(Printf.sprintf "vis.%d" i)
-            (Operation.Set (string_of_int i))
-        with
-        | Ok () -> ()
-        | Error msg -> failwith ("daemon bench visibility update: " ^ msg)
-      done;
-      (match Harness.await_converged ~deadline:60.0 h with
-      | Ok _ -> ()
-      | Error msg -> failwith ("daemon bench visibility: " ^ msg));
-      let vis_elapsed = Unix.gettimeofday () -. t1 in
-      let ns_visibility = vis_elapsed *. 1e9 /. float_of_int (k * (n - 1)) in
-      (ns_session, ns_visibility))
-
-let daemon_fanouts = [ 1; 4; 8 ]
-
 let run_daemon_benchmarks ~quick () =
-  List.concat_map
-    (fun fanout ->
-      let ns_session, ns_visibility = run_daemon_fanout ~quick ~fanout in
-      [
-        {
-          name = Printf.sprintf "edb e22 daemon sessions fan-out=%d" fanout;
-          ns_per_op = Some ns_session;
-          r_square = None;
-          minor_words = None;
-        };
-        {
-          name = Printf.sprintf "edb e22 daemon visibility fan-out=%d" fanout;
-          ns_per_op = Some ns_visibility;
-          r_square = None;
-          minor_words = None;
-        };
-      ])
-    daemon_fanouts
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "daemon_bench.exe"
+  in
+  if not (Sys.file_exists exe) then
+    failwith (exe ^ " not found: build it first (dune build ./bench)");
+  let args = if quick then [| exe; "--quick" |] else [| exe |] in
+  let ic = Unix.open_process_args_in exe args in
+  let rec read acc =
+    match input_line ic with
+    | exception End_of_file -> List.rev acc
+    | line -> (
+      match String.split_on_char '\t' line with
+      | [ name; ns ] when String.starts_with ~prefix:"edb e22 " name ->
+        let r =
+          {
+            name;
+            ns_per_op = Some (float_of_string ns);
+            r_square = None;
+            minor_words = None;
+            major_words = None;
+          }
+        in
+        read (r :: acc)
+      | _ ->
+        print_endline line;
+        read acc)
+  in
+  let results = read [] in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> results
+  | _ -> failwith (exe ^ " failed")
 
 let print_micro_table results =
   let table =
     Edb_metrics.Table.create
-      ~title:"Wall-clock micro-benchmarks (monotonic clock + minor words/op)"
-      ~columns:[ "benchmark"; "ns/op"; "minor words"; "r^2" ]
+      ~title:"Wall-clock micro-benchmarks (monotonic clock + minor/major words/op)"
+      ~columns:[ "benchmark"; "ns/op"; "minor words"; "major words"; "r^2" ]
   in
   let cell fmt = function Some v -> Printf.sprintf fmt v | None -> "n/a" in
   List.iter
@@ -671,6 +627,7 @@ let print_micro_table results =
           r.name;
           cell "%.1f" r.ns_per_op;
           cell "%.1f" r.minor_words;
+          cell "%.1f" r.major_words;
           cell "%.4f" r.r_square;
         ])
     results;
@@ -694,6 +651,7 @@ let json_of_results ~quick experiments results =
             [
               ("ns_per_op", num r.ns_per_op);
               ("minor_words", num r.minor_words);
+              ("major_words", num r.major_words);
               ("r_square", num r.r_square);
             ] ))
       results

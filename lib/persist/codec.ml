@@ -1,14 +1,62 @@
 (* Adler-32 (RFC 1950): simple, fast, and good enough to catch the
-   truncation/corruption failure modes a snapshot file meets. *)
-let adler32 data =
-  let modulus = 65_521 in
+   truncation/corruption failure modes a snapshot file meets. The one
+   kernel every envelope, WAL frame and snapshot payload goes through.
+
+   RFC 1950 reduces both sums mod 65521 after every byte; the kernel
+   defers the reduction to the end of each block of at most 2^20 bytes
+   instead. Entering a block, a and b are below 65521; after n bytes
+   a < 65521 + 255n and b < 65521(n + 1) + 255n(n + 1)/2, which for
+   n = 2^20 is below 2^48 — far inside OCaml's 63-bit ints, so the
+   deferred sums never wrap and the result is bit-identical to the
+   per-byte definition. (zlib's 5552-byte block is the bound for 32-bit
+   unsigned sums; it does not apply here.) *)
+let adler_modulus = 65_521
+
+let adler_block = 1 lsl 20
+
+let adler32_bytes data ~off ~len =
   let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod modulus;
-      b := (!b + !a) mod modulus)
-    data;
+  let pos = ref off in
+  let stop = off + len in
+  while !pos < stop do
+    let block_end = min stop (!pos + adler_block) in
+    let i = ref !pos in
+    while !i + 8 <= block_end do
+      let j = !i in
+      a := !a + Char.code (Bytes.unsafe_get data j);
+      b := !b + !a;
+      a := !a + Char.code (Bytes.unsafe_get data (j + 1));
+      b := !b + !a;
+      a := !a + Char.code (Bytes.unsafe_get data (j + 2));
+      b := !b + !a;
+      a := !a + Char.code (Bytes.unsafe_get data (j + 3));
+      b := !b + !a;
+      a := !a + Char.code (Bytes.unsafe_get data (j + 4));
+      b := !b + !a;
+      a := !a + Char.code (Bytes.unsafe_get data (j + 5));
+      b := !b + !a;
+      a := !a + Char.code (Bytes.unsafe_get data (j + 6));
+      b := !b + !a;
+      a := !a + Char.code (Bytes.unsafe_get data (j + 7));
+      b := !b + !a;
+      i := j + 8
+    done;
+    while !i < block_end do
+      a := !a + Char.code (Bytes.unsafe_get data !i);
+      b := !b + !a;
+      incr i
+    done;
+    a := !a mod adler_modulus;
+    b := !b mod adler_modulus;
+    pos := block_end
+  done;
   (!b lsl 16) lor !a
+
+let adler32_sub data ~off ~len =
+  if off < 0 || len < 0 || off > String.length data - len then
+    invalid_arg "Codec.adler32_sub";
+  (* Read-only view: the kernel never writes through it. *)
+  adler32_bytes (Bytes.unsafe_of_string data) ~off ~len
 
 module Writer = struct
   type t = Buffer.t
@@ -72,11 +120,15 @@ module Writer = struct
     int t (Array.length xs);
     Array.iter (encode t) xs
 
+  (* One copy: the payload is blitted straight into the sealed string,
+     checksummed there, and the trailer written behind it. *)
   let contents t =
-    let payload = Buffer.contents t in
-    let trailer = Bytes.create 4 in
-    Bytes.set_int32_le trailer 0 (Int32.of_int (adler32 payload));
-    payload ^ Bytes.to_string trailer
+    let len = Buffer.length t in
+    let sealed = Bytes.create (len + 4) in
+    Buffer.blit t 0 sealed 0 len;
+    Bytes.set_int32_le sealed len
+      (Int32.of_int (adler32_bytes sealed ~off:0 ~len));
+    Bytes.unsafe_to_string sealed
 end
 
 module Reader = struct
@@ -90,11 +142,12 @@ module Reader = struct
     let len = String.length data in
     if len < 4 then corrupt "snapshot shorter than its checksum trailer";
     let payload_len = len - 4 in
-    let payload = String.sub data 0 payload_len in
     let stored =
       Int32.to_int (String.get_int32_le data payload_len) land 0xFFFFFFFF
     in
-    let actual = adler32 payload in
+    (* Checked in place: the reader's [limit] already hides the trailer,
+       so the payload never needs a copy of its own. *)
+    let actual = adler32_sub data ~off:0 ~len:payload_len in
     if stored <> actual then
       corrupt "checksum mismatch: stored %08x, computed %08x" stored actual;
     { data; limit = payload_len; pos = 0 }

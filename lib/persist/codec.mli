@@ -5,8 +5,18 @@
     length-prefixed strings, fixed 64-bit integers for the durable
     formats (node state is dominated by values, not integers), LEB128
     varints for wire format v2 where the integers themselves dominate,
-    and an Adler-32 style checksum trailer so a truncated or corrupted
-    payload is rejected instead of silently loaded. *)
+    and an exact Adler-32 (RFC 1950) checksum trailer so a truncated or
+    corrupted payload is rejected instead of silently loaded. *)
+
+val adler32_sub : string -> off:int -> len:int -> int
+(** [adler32_sub data ~off ~len] is the Adler-32 checksum (RFC 1950) of
+    bytes [\[off, off + len)] of [data] — the single kernel behind the
+    envelope trailer, {!Wal}'s frame checksum and {!Snapshot}'s payload
+    guard. It reduces mod 65521 once per block of at most 2{^20} bytes
+    rather than per byte: from sums below 65521, a block that size
+    grows them to under 2{^48}, so OCaml's 63-bit ints cannot overflow
+    and the result equals the per-byte definition bit for bit. Raises
+    [Invalid_argument] when the range is not inside [data]. *)
 
 module Writer : sig
   type t
@@ -51,7 +61,8 @@ module Writer : sig
   val array : t -> (t -> 'a -> unit) -> 'a array -> unit
 
   val contents : t -> string
-  (** The payload followed by a 4-byte checksum trailer. *)
+  (** The payload followed by its 4-byte little-endian Adler-32
+      trailer, built with a single copy of the payload. *)
 end
 
 module Reader : sig
@@ -61,8 +72,9 @@ module Reader : sig
   (** Raised on truncation, trailing garbage, or checksum mismatch. *)
 
   val create : string -> t
-  (** [create data] validates the checksum trailer immediately and
-      raises {!Corrupt} if it does not match. *)
+  (** [create data] validates the checksum trailer immediately, in
+      place over [data] (no copy of the payload), and raises {!Corrupt}
+      if it does not match. *)
 
   val int : t -> int
 

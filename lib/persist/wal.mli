@@ -1,15 +1,16 @@
 (** A write-ahead (redo) log of opaque records.
 
     Framing per record: 8-byte length, payload, 4-byte Adler-32 of the
-    payload. {!replay} applies complete, checksummed records in order.
-    It distinguishes two kinds of damage: a final frame {e cut short by
-    end-of-file} is the torn tail of a crashed append — expected, the
-    tail is discarded and reported so callers can log the data-loss
-    window — whereas a {e fully present} frame that fails its checksum
-    (or carries a nonsense length) is corruption of data that was once
-    durably written, and replay refuses with [Error] rather than
-    silently un-acknowledging updates other replicas may already have
-    observed.
+    payload ({!Codec.adler32_sub}). {!replay} applies complete,
+    checksummed records in order. It distinguishes two kinds of damage:
+    a final frame {e cut short by end-of-file} is the torn tail of a
+    crashed append, however large the length its header claims —
+    expected, the tail is discarded and reported so callers can log the
+    data-loss window — whereas a {e fully present} frame that fails its
+    checksum (or carries a negative length) is corruption of data that
+    was once durably written, and replay refuses with [Error] rather
+    than silently un-acknowledging updates other replicas may already
+    have observed.
 
     {!Durable_node} journals protocol mutations here between
     checkpoints; on recovery the snapshot is loaded and the journal
@@ -17,10 +18,6 @@
     sequence numbers other replicas may already have observed —
     re-assigning those to different updates would corrupt the
     epidemic, which is why recovery must replay rather than restart). *)
-
-val adler32 : string -> int
-(** The checksum used by the record framing (and by {!Snapshot}'s
-    payload guard) — Adler-32, matching [Codec]'s trailer. *)
 
 type writer
 

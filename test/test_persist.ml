@@ -77,6 +77,80 @@ let test_codec_expect_end_catches_garbage () =
   let (_ : int) = Codec.Reader.int r in
   expect_corrupt (fun () -> Codec.Reader.expect_end r)
 
+(* ---------- Adler-32 kernel ---------- *)
+
+(* The per-byte definition from RFC 1950 — both sums reduced after
+   every byte — kept as the reference the block-deferred kernel must
+   match bit for bit. *)
+let reference_adler32 data =
+  let modulus = 65_521 in
+  let a = ref 1 and b = ref 0 in
+  String.iter
+    (fun c ->
+      a := (!a + Char.code c) mod modulus;
+      b := (!b + !a) mod modulus)
+    data;
+  (!b lsl 16) lor !a
+
+let adler32 data = Codec.adler32_sub data ~off:0 ~len:(String.length data)
+
+let prop_adler32_matches_reference =
+  QCheck2.Test.make ~name:"adler32 kernel = per-byte reference" ~count:300
+    QCheck2.Gen.(
+      let* data = string_size (int_range 0 3000) in
+      let n = String.length data in
+      let* off = int_range 0 n in
+      let* len = int_range 0 (n - off) in
+      return (data, off, len))
+    (fun (data, off, len) ->
+      adler32 data = reference_adler32 data
+      && Codec.adler32_sub data ~off ~len
+         = reference_adler32 (String.sub data off len))
+
+(* All-0xFF input drives both sums as fast as any input can, so these
+   lengths straddle zlib's 5552-byte block and the kernel's own 2^20
+   block with the largest possible deferred sums. *)
+let test_adler32_block_boundaries () =
+  let block = 1 lsl 20 in
+  List.iter
+    (fun n ->
+      let data = String.make n '\255' in
+      Alcotest.(check int)
+        (Printf.sprintf "all-0xFF x %d" n)
+        (reference_adler32 data) (adler32 data))
+    [ 5552; 5553; block - 1; block; block + 1 ];
+  let big = String.init ((3 lsl 20) + 12345) (fun i -> Char.chr ((i * 7919) land 0xFF)) in
+  Alcotest.(check int) ">= 3 MiB" (reference_adler32 big) (adler32 big)
+
+let test_adler32_rfc_vector () =
+  Alcotest.(check int) "Wikipedia" 0x11E60398 (adler32 "Wikipedia");
+  Alcotest.(check int) "empty" 1 (adler32 "");
+  Alcotest.(check int) "sub-range" 0x11E60398
+    (Codec.adler32_sub "[[Wikipedia]]" ~off:2 ~len:9)
+
+let test_adler32_rejects_bad_range () =
+  let rejects off len =
+    match Codec.adler32_sub "abcd" ~off ~len with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "range off=%d len=%d accepted" off len
+  in
+  rejects (-1) 1;
+  rejects 0 5;
+  rejects 2 (-1);
+  rejects 4 max_int
+
+(* The sealed envelope is the payload plus the reference checksum,
+   little-endian — the on-disk and on-wire bytes the kernel must keep. *)
+let test_envelope_trailer_is_reference () =
+  let w = Codec.Writer.create () in
+  Codec.Writer.string w (String.make 5000 'x');
+  Codec.Writer.int w 7;
+  let blob = Codec.Writer.contents w in
+  let payload_len = String.length blob - 4 in
+  Alcotest.(check int) "trailer"
+    (reference_adler32 (String.sub blob 0 payload_len))
+    (Int32.to_int (String.get_int32_le blob payload_len) land 0xFFFFFFFF)
+
 (* Property: any int/string script round-trips. *)
 let prop_codec_roundtrip =
   QCheck2.Gen.(
@@ -288,4 +362,12 @@ let suite =
       test_recovered_node_rejoins_epidemic;
     Alcotest.test_case "recovered node forwards" `Quick test_recovered_node_forwards;
     QCheck_alcotest.to_alcotest prop_state_roundtrip;
+    QCheck_alcotest.to_alcotest prop_adler32_matches_reference;
+    Alcotest.test_case "adler32 block boundaries" `Quick
+      test_adler32_block_boundaries;
+    Alcotest.test_case "adler32 RFC 1950 vector" `Quick test_adler32_rfc_vector;
+    Alcotest.test_case "adler32 rejects bad range" `Quick
+      test_adler32_rejects_bad_range;
+    Alcotest.test_case "envelope trailer = reference" `Quick
+      test_envelope_trailer_is_reference;
   ]

@@ -133,6 +133,29 @@ let test_wal_corrupt_last_record_is_error () =
         Alcotest.(check bool) "names the damage" true
           (Astring.String.is_infix ~affix:"checksum mismatch" msg))
 
+(* A header claiming a length near [max_int] must not wrap the bounds
+   arithmetic: the frame runs past end-of-file like any other torn tail.
+   32 bytes: one intact 16-byte frame, then a header claiming
+   [max_int - 5] and 8 bytes of its "payload". *)
+let test_wal_huge_length_is_torn_tail () =
+  with_temp_file (fun path ->
+      Sys.remove path;
+      let w = Wal.open_writer ~path in
+      Wal.append w "good";
+      Wal.close_writer w;
+      let header = Bytes.create 8 in
+      Bytes.set_int64_le header 0 (Int64.of_int (max_int - 5));
+      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+      output_bytes oc header;
+      output_string oc "garbage!";
+      close_out oc;
+      Alcotest.(check int) "32-byte log" 32 (Unix.stat path).Unix.st_size;
+      let seen = ref [] in
+      let result = ok (Wal.replay ~path ~f:(fun r -> seen := r :: !seen)) in
+      Alcotest.(check int) "one intact record" 1 result.Wal.records;
+      Alcotest.(check bool) "torn tail flagged" true result.Wal.torn_tail;
+      Alcotest.(check (list string)) "prefix recovered" [ "good" ] !seen)
+
 let test_wal_reset () =
   with_temp_file (fun path ->
       Sys.remove path;
@@ -497,6 +520,8 @@ let suite =
     Alcotest.test_case "wal complete-frame corruption is an error" `Quick
       test_wal_corrupt_last_record_is_error;
     Alcotest.test_case "wal reset" `Quick test_wal_reset;
+    Alcotest.test_case "wal huge length is a torn tail" `Quick
+      test_wal_huge_length_is_torn_tail;
     Alcotest.test_case "durable: recover updates" `Quick
       test_durable_fresh_and_recover_updates;
     Alcotest.test_case "durable: checkpoint resets journal" `Quick
