@@ -80,9 +80,11 @@ let check_micro path doc =
       path (daemon_ns "sessions" 4) (daemon_ns "sessions" 1);
   (* The envelope instances: the checksum kernel and copy-free reader
      (Reader.create over 1 MiB) and a restarting replica's snapshot
-     decode. Both must carry a finite positive time and measured — not
-     null — allocation figures, since allocation is half of what they
-     exist to show. *)
+     decode; and the journal record of a hot-write-shaped session. Each
+     must carry a finite positive time and measured — not null —
+     allocation figures, since allocation is half of what they exist to
+     show. *)
+  let journal = "edb persist durable journal 45 x 128 B n=3" in
   List.iter
     (fun name ->
       match List.assoc_opt name benchmarks with
@@ -100,7 +102,17 @@ let check_micro path doc =
     [
       "edb persist codec Reader.create 1 MiB";
       "edb persist snapshot decode 20k x 128 B";
+      journal;
     ];
+  (* The journal instance also carries the size of the record it
+     times, so a journal format that grows shows up next to its cost. *)
+  (match
+     Option.bind
+       (Option.bind (List.assoc_opt journal benchmarks) (Json.member "bytes_per_record"))
+       Json.to_float_opt
+   with
+  | Some v when Float.is_finite v && v > 0.0 -> ()
+  | _ -> fail "%s: benchmark %S lacks a finite positive bytes_per_record" path journal);
   let experiments =
     require "experiments list"
       (Option.bind (Json.member "experiments" doc) Json.to_list_opt)

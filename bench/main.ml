@@ -466,6 +466,53 @@ let test_envelope_snapshot_decode =
          | Ok (_ : Node.t) -> ()
          | Error msg -> failwith msg))
 
+(* The journal (E24): the record a Durable_node appends for hot-write's
+   delta shape — a 45-item reply of 128 B values at n = 3 answering a
+   stale request, a third of it already delivered by the other writer's
+   session. Times the effect computation plus the v2 encode, which is
+   what the session adds to a buffered WAL append; the fixture's bytes
+   per record, WAL framing included, ride along in the JSON row. *)
+
+module Durable = Edb_persist.Durable_node
+
+let journal_fixture =
+  lazy
+    (let writers = Array.init 2 (fun id -> Node.create ~id ~n:3 ()) in
+     let write origin count =
+       for rank = 0 to count - 1 do
+         let name = Printf.sprintf "w%d-%s" origin (Workload.item_name rank) in
+         Node.update writers.(origin) name
+           (Operation.Set (Workload.payload ~item:name ~seq:1 ~size:128))
+       done
+     in
+     write 0 30;
+     write 1 15;
+     let (_ : Node.pull_result) = Node.pull ~recipient:writers.(0) ~source:writers.(1) () in
+     let dir = Filename.temp_file "edb-bench-journal" "" in
+     Sys.remove dir;
+     let d =
+       match Durable.open_or_create ~dir ~id:2 ~n:3 () with
+       | Ok (d, _) -> d
+       | Error msg -> failwith msg
+     in
+     at_exit (fun () ->
+         Durable.close d;
+         Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+         Sys.rmdir dir);
+     let stale = Node.propagation_request_owned (Durable.node d) in
+     let (_ : Node.pull_result) = Durable.pull_from d ~source:writers.(1) in
+     (d, Node.handle_propagation_request writers.(0) stale))
+
+let journal_record () =
+  let d, reply = Lazy.force journal_fixture in
+  Durable.journal_record d ~source:0 reply
+
+let journal_test_name = "persist durable journal 45 x 128 B n=3"
+
+let test_journal_record =
+  Test.make ~name:journal_test_name
+    (Staged.stage (fun () -> ignore (journal_record () : string option)))
+
 let micro_tests ~shards =
   let test_e18_skip =
     Test.make
@@ -510,6 +557,7 @@ let micro_tests ~shards =
     test_e21_idle_post;
     test_envelope_reader_create;
     test_envelope_snapshot_decode;
+    test_journal_record;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -526,6 +574,9 @@ type micro_result = {
   major_words : float option;
       (* Words allocated directly on the major heap per operation (large
          strings and arrays) — where the big envelope buffers land. *)
+  bytes_per_record : float option;
+      (* The journal instance's WAL frame size, emitted next to its
+         timings. *)
 }
 
 let estimate ols_result =
@@ -567,6 +618,13 @@ let run_micro_benchmarks ~shards () =
         r_square = Analyze.OLS.r_square clock;
         minor_words = Option.bind minor estimate;
         major_words = Option.bind major estimate;
+        bytes_per_record =
+          (if name = "edb " ^ journal_test_name then
+             (* One WAL frame: 8-byte length, record, 4-byte checksum. *)
+             match journal_record () with
+             | Some record -> Some (float_of_int (12 + String.length record))
+             | None -> failwith "journal fixture: the session must change something"
+           else None);
       })
     names
 
@@ -601,6 +659,7 @@ let run_daemon_benchmarks ~quick () =
             r_square = None;
             minor_words = None;
             major_words = None;
+            bytes_per_record = None;
           }
         in
         read (r :: acc)
@@ -631,7 +690,11 @@ let print_micro_table results =
           cell "%.4f" r.r_square;
         ])
     results;
-  Edb_metrics.Table.print table
+  Edb_metrics.Table.print table;
+  List.iter
+    (fun r ->
+      Option.iter (Printf.printf "%s: bytes_per_record = %.1f\n" r.name) r.bytes_per_record)
+    results
 
 (* ------------------------------------------------------------------ *)
 (* JSON emission: the machine-readable perf trajectory                 *)
@@ -648,12 +711,16 @@ let json_of_results ~quick experiments results =
       (fun r ->
         ( r.name,
           Json.Obj
-            [
-              ("ns_per_op", num r.ns_per_op);
-              ("minor_words", num r.minor_words);
-              ("major_words", num r.major_words);
-              ("r_square", num r.r_square);
-            ] ))
+            ([
+               ("ns_per_op", num r.ns_per_op);
+               ("minor_words", num r.minor_words);
+               ("major_words", num r.major_words);
+               ("r_square", num r.r_square);
+             ]
+            @
+            match r.bytes_per_record with
+            | Some v -> [ ("bytes_per_record", Json.Float v) ]
+            | None -> []) ))
       results
   in
   Json.Obj

@@ -486,6 +486,47 @@ let accept_propagation ?(domains = 1) t ~source reply =
     Protocol.accept_delta t.ctx t.replicas.(0) ~source ~tails ~items
   | Message.Propagate_sharded deltas -> accept_sharded t ~domains ~source deltas
 
+(* The session's effect (see [Protocol.delta_effect]): per shard, what
+   acceptance would change. Deltas are judged against their own shard's
+   pre-session state, which is what acceptance judges them against
+   unless two deltas name the same shard — such a reply comes back
+   verbatim. [None] when acceptance would change nothing. *)
+let propagation_effect t reply =
+  let empty tails items = items = [] && Array.for_all (fun tail -> tail = []) tails in
+  match reply with
+  | Message.You_are_current -> None
+  | Message.Propagate { tails; items } ->
+    if t.shards <> 1 then
+      invalid_arg "Node.propagation_effect: unsharded reply at a sharded node";
+    let tails, items = Protocol.delta_effect t.ctx t.replicas.(0) ~tails ~items in
+    if empty tails items then None else Some (Message.Propagate { tails; items })
+  | Message.Propagate_sharded deltas ->
+    let seen = Array.make t.shards false in
+    let distinct =
+      List.for_all
+        (fun (d : Message.shard_delta) ->
+          if d.shard < 0 || d.shard >= t.shards then
+            invalid_arg "Node.propagation_effect: shard index out of range";
+          (not seen.(d.shard)) && (seen.(d.shard) <- true; true))
+        deltas
+    in
+    if not distinct then Some reply
+    else begin
+      match
+        List.filter_map
+          (fun (d : Message.shard_delta) ->
+            let tails, items =
+              Protocol.delta_effect t.ctx t.replicas.(d.shard) ~tails:d.tails
+                ~items:d.items
+            in
+            if empty tails items then None
+            else Some { Message.shard = d.shard; tails; items })
+          deltas
+      with
+      | [] -> None
+      | deltas -> Some (Message.Propagate_sharded deltas)
+    end
+
 (* ------------------------------------------------------------------ *)
 (* Out-of-bound copying (paper §5.2)                                   *)
 (* ------------------------------------------------------------------ *)

@@ -280,6 +280,19 @@ val accept_propagation :
     the parallel section rather than interleaved, so a handler that
     mutates the node requires [domains = 1] (the default). *)
 
+val propagation_effect :
+  t -> Message.propagation_reply -> Message.propagation_reply option
+(** What {!accept_propagation} of [reply] would change, computed
+    against the current state without mutating it (see
+    [Protocol.delta_effect]): shipped items whose IVV equals the local
+    copy's are dropped, and each tail keeps exactly the records
+    acceptance would append. Accepting the effect from the current
+    state reaches the same state (every exported field, DBVV included)
+    as accepting [reply]. [None] when acceptance would change nothing.
+    A reply that ships a name twice within one delta, or names a shard
+    twice, comes back unfiltered. Raises [Invalid_argument] where
+    {!accept_propagation} would reject the reply's shape. *)
+
 val intra_node_propagation : t -> string list -> unit
 (** [IntraNodePropagation] (Fig. 4) over the given items, each routed
     to its owning shard. Called automatically by {!accept_propagation}

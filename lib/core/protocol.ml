@@ -292,6 +292,43 @@ let resolve_propagation_conflict ctx (rep : Replica.t) (local : Item.t)
   | Some history -> Edb_store.Item_history.clear history);
   record_regular_update ctx rep local ~op:(Operation.Set resolved_value)
 
+(* What AcceptPropagation does with one shipped item, judged against
+   the local regular copy's IVV. The one decision procedure behind both
+   [accept_delta] and [delta_effect], so the journaled effect can never
+   disagree with the acceptance it stands for. *)
+type fate =
+  | Unchanged  (** Equal IVVs: identical copies. *)
+  | Adopt  (** Strictly newer: a whole value, or a complete delta. *)
+  | Resolve_with of (local:Message.shipped_item -> remote:Message.shipped_item -> string)
+  | Skip_incomplete of { ops : int; expected : int }
+  | Skip_conflict  (** Concurrent and not resolvable here. *)
+  | Skip_stale  (** The local copy is newer. *)
+
+let fate ctx ~local_ivv (sx : Message.shipped_item) =
+  match Vv.compare_vv sx.ivv local_ivv with
+  | Equal -> Unchanged
+  | Dominated -> Skip_stale
+  | Dominates -> (
+    match sx.payload with
+    | Message.Whole _ -> Adopt
+    | Message.Delta ops ->
+      (* Defensive completeness check: the shipped operations must
+         account exactly for the per-origin IVV gap. *)
+      let n_ops = List.length ops in
+      let expected = ref 0 in
+      for k = 0 to ctx.n - 1 do
+        expected := !expected + (Vv.get sx.ivv k - Vv.get local_ivv k)
+      done;
+      if n_ops = !expected then Adopt
+      else Skip_incomplete { ops = n_ops; expected = !expected })
+  | Concurrent -> (
+    match (ctx.policy, sx.payload) with
+    | Resolve resolver, Message.Whole _ -> Resolve_with resolver
+    | Report_only, _ | Resolve _, Message.Delta _ ->
+      (* A conflicting delta cannot be resolved: the remote value is
+         not reconstructible from ops against a diverged base. *)
+      Skip_conflict)
+
 (* The Fig. 3 body for one shard's delta. The caller hits the
    "accept.begin" failpoint once per session before the first shard. *)
 let accept_delta ctx (rep : Replica.t) ~source ~tails ~items =
@@ -307,8 +344,8 @@ let accept_delta ctx (rep : Replica.t) ~source ~tails ~items =
     Fault.hit "accept.item";
     let local = Store.find_or_create rep.store sx.name in
     c.vv_comparisons <- c.vv_comparisons + 1;
-    match Vv.compare_vv sx.ivv local.ivv with
-    | Dominates -> (
+    match fate ctx ~local_ivv:local.ivv sx with
+    | Adopt -> (
       (* The received copy is strictly newer: adopt it and grow the
          DBVV by the extra updates it has seen (DBVV rule 3, §4.1). *)
       match sx.payload with
@@ -325,57 +362,44 @@ let accept_delta ctx (rep : Replica.t) ~source ~tails ~items =
         c.items_copied <- c.items_copied + 1;
         copied := sx.name :: !copied
       | Message.Delta ops ->
-        (* Defensive completeness check: the shipped operations must
-           account exactly for the per-origin IVV gap. The list is
-           measured once here; every later use reuses the count. *)
-        let n_ops = List.length ops in
-        let expected = ref 0 in
-        for k = 0 to ctx.n - 1 do
-          expected := !expected + (Vv.get sx.ivv k - Vv.get local.ivv k)
-        done;
-        if n_ops <> !expected then begin
-          Log.err (fun m ->
-              m "node %d: delta for %S has %d ops, expected %d; skipping" ctx.node_id
-                sx.name n_ops !expected);
-          Hashtbl.replace skip_records sx.name ()
-        end
-        else begin
-          ctx.touch ();
-          add_diff ctx rep ~newer:sx.ivv ~older:local.ivv;
-          List.iter
-            (fun (dop : Message.delta_op) ->
-              local.value <- Operation.apply local.value dop.op;
-              match history_of ctx rep sx.name with
-              | None -> ()
-              | Some history ->
-                Edb_store.Item_history.push history
-                  { Edb_store.Item_history.origin = dop.origin; seq = dop.seq; op = dop.op })
-            ops;
-          local.ivv <- Vv.copy sx.ivv;
-          c.delta_ops_applied <- c.delta_ops_applied + n_ops;
-          c.items_copied <- c.items_copied + 1;
-          copied := sx.name :: !copied
-        end)
-    | Concurrent -> (
-      match (ctx.policy, sx.payload) with
-      | Resolve resolver, Message.Whole _ ->
-        resolve_propagation_conflict ctx rep local sx resolver;
-        incr resolved_count;
+        ctx.touch ();
+        add_diff ctx rep ~newer:sx.ivv ~older:local.ivv;
+        let n_ops = ref 0 in
+        List.iter
+          (fun (dop : Message.delta_op) ->
+            incr n_ops;
+            local.value <- Operation.apply local.value dop.op;
+            match history_of ctx rep sx.name with
+            | None -> ()
+            | Some history ->
+              Edb_store.Item_history.push history
+                { Edb_store.Item_history.origin = dop.origin; seq = dop.seq; op = dop.op })
+          ops;
+        local.ivv <- Vv.copy sx.ivv;
+        c.delta_ops_applied <- c.delta_ops_applied + !n_ops;
         c.items_copied <- c.items_copied + 1;
-        copied := sx.name :: !copied
-      | Report_only, _ | Resolve _, Message.Delta _ ->
-        (* A conflicting delta cannot be resolved: the remote value is
-           not reconstructible from ops against a diverged base. *)
-        ctx.declare_conflict ~item:sx.name ~local_vv:local.ivv ~remote_vv:sx.ivv
-          ~origin:(Conflict.Propagation { source });
-        incr conflict_count;
-        Hashtbl.replace skip_records sx.name ())
-    | Equal ->
+        copied := sx.name :: !copied)
+    | Skip_incomplete { ops; expected } ->
+      Log.err (fun m ->
+          m "node %d: delta for %S has %d ops, expected %d; skipping" ctx.node_id
+            sx.name ops expected);
+      Hashtbl.replace skip_records sx.name ()
+    | Resolve_with resolver ->
+      resolve_propagation_conflict ctx rep local sx resolver;
+      incr resolved_count;
+      c.items_copied <- c.items_copied + 1;
+      copied := sx.name :: !copied
+    | Skip_conflict ->
+      ctx.declare_conflict ~item:sx.name ~local_vv:local.ivv ~remote_vv:sx.ivv
+        ~origin:(Conflict.Propagation { source });
+      incr conflict_count;
+      Hashtbl.replace skip_records sx.name ()
+    | Unchanged ->
       (* Identical copies; no tail record can reference this item in
          conflict-free operation, and stale re-sent records are
          filtered below. *)
       ()
-    | Dominated ->
+    | Skip_stale ->
       (* "We do not consider the case when v_i(x) dominates v_j(x)
          because this cannot happen" (§5.1). Reachable only after an
          earlier conflict was reported; drop the stale records. *)
@@ -406,6 +430,94 @@ let accept_delta ctx (rep : Replica.t) ~source ~tails ~items =
   let copied = List.rev !copied in
   intra_node_propagation ctx rep copied;
   { copied; conflicts = !conflict_count; resolved = !resolved_count }
+
+(* ------------------------------------------------------------------ *)
+(* Session effect: what a journal must redo                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The part of one shard's delta that changes the replica: [items]
+   without the copies whose IVV equals an existing local copy's, and
+   [tails] holding exactly the records [accept_delta] would append.
+   Pure — it reads the replica and charges nothing.
+
+   Exactness: each item's fate is judged against the pre-session state,
+   which is the state [accept_delta] judges it against as long as no
+   earlier item of the same delta touched the same name. An [Unchanged]
+   item changes nothing and never enters [skip_records], so dropping it
+   changes nothing either (unless it is absent locally: acceptance
+   would materialize it, so it stays). A record is appended iff its
+   item is not skipped and its seq beats the component's running
+   latest seq. Item processing can only raise a latest seq (a
+   resolution logs a fresh own update), so a record at or below the
+   pre-session running latest is one acceptance would not append
+   either, and dropping it leaves the running latest where acceptance
+   has it for every later record. Replaying the effect therefore judges
+   every kept item and record exactly as the full acceptance did, and
+   lands on the same state.
+
+   A name shipped twice breaks the first step: its second copy meets
+   the state the first one left, and may skip records the pre-state
+   judgement kept (which then no longer raise the running latest). So
+   a delta that would lose anything is checked for repeated names and
+   comes back verbatim if it has any. A delta that loses nothing — the
+   common all-new catch-up — pays no name table. *)
+let delta_effect ctx (rep : Replica.t) ~tails ~items =
+  let zero = lazy (Vv.create ~n:ctx.n) in
+  let skipped = Hashtbl.create 4 in
+  (* Whether the copy leaves the effect; records the names whose
+     records acceptance would skip. *)
+  let drops (sx : Message.shipped_item) =
+    let local = Store.find_opt rep.store sx.name in
+    let local_ivv = match local with Some it -> it.Item.ivv | None -> Lazy.force zero in
+    match fate ctx ~local_ivv sx with
+    | Unchanged -> Option.is_some local
+    | Adopt | Resolve_with _ -> false
+    | Skip_incomplete _ | Skip_conflict | Skip_stale ->
+      Hashtbl.replace skipped sx.name ();
+      false
+  in
+  (* The running latest seq, in shipment order: unsorted tails are
+     judged record by record exactly as [accept_delta]'s append loop
+     judges them. *)
+  let appends latest (r : Log_record.t) =
+    (not (Hashtbl.mem skipped r.item)) && r.seq > latest
+  in
+  let latest_of k = Log_component.latest_seq (Log_vector.component rep.logs k) in
+  let rec tail_loses latest = function
+    | [] -> false
+    | r :: rest -> if appends latest r then tail_loses r.Log_record.seq rest else true
+  in
+  (* A first pass allocates nothing, so the common delta that loses
+     nothing — an all-new catch-up — costs one lookup per item. *)
+  let item_drops = List.fold_left (fun acc sx -> drops sx || acc) false items in
+  let rec tails_lose k =
+    k < Array.length tails && (tail_loses (latest_of k) tails.(k) || tails_lose (k + 1))
+  in
+  let ships_a_name_twice () =
+    let seen = Hashtbl.create (List.length items) in
+    List.exists
+      (fun (sx : Message.shipped_item) ->
+        Hashtbl.mem seen sx.name || (Hashtbl.add seen sx.name (); false))
+      items
+  in
+  if (not (item_drops || tails_lose 0)) || ships_a_name_twice () then (tails, items)
+  else begin
+    let rec keep latest = function
+      | [] -> []
+      | r :: rest -> if appends latest r then r :: keep r.Log_record.seq rest else keep latest rest
+    in
+    let kept =
+      if item_drops then
+        List.filter
+          (fun (sx : Message.shipped_item) ->
+            match Store.find_opt rep.store sx.name with
+            | Some local -> not (Vv.equal sx.ivv local.Item.ivv)
+            | None -> true)
+          items
+      else items
+    in
+    (Array.mapi (fun k records -> keep (latest_of k) records) tails, kept)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Out-of-bound copying (paper §5.2)                                   *)

@@ -85,6 +85,22 @@ val accept_delta :
     {!intra_node_propagation} over the copied items. The caller hits
     the ["accept.begin"] failpoint once per session. *)
 
+val delta_effect :
+  ctx ->
+  Replica.t ->
+  tails:Edb_log.Log_record.t list array ->
+  items:Message.shipped_item list ->
+  Edb_log.Log_record.t list array * Message.shipped_item list
+(** The part of one shard's delta that would change the replica, judged
+    against its current state without mutating it: the shipped items
+    minus those whose IVV equals an existing local copy's, and per
+    origin exactly the tail records {!accept_delta} would append.
+    {!accept_delta} of the effect from the current state reaches the
+    same state as {!accept_delta} of the whole delta. Returns the input
+    physically when nothing would be dropped, and also when the delta
+    ships a name twice (its second copy meets the state the first one
+    left, so the pre-session judgement is not exact). *)
+
 val serve_out_of_bound : Replica.t -> Message.oob_request -> Message.oob_reply
 
 val accept_out_of_bound :

@@ -138,19 +138,20 @@ module Reader = struct
 
   let corrupt fmt = Printf.ksprintf (fun msg -> raise (Corrupt msg)) fmt
 
-  let create data =
-    let len = String.length data in
+  let create_sub data ~off ~len =
+    if off < 0 || len < 0 || off > String.length data - len then
+      invalid_arg "Codec.Reader.create_sub";
     if len < 4 then corrupt "snapshot shorter than its checksum trailer";
-    let payload_len = len - 4 in
-    let stored =
-      Int32.to_int (String.get_int32_le data payload_len) land 0xFFFFFFFF
-    in
+    let limit = off + len - 4 in
+    let stored = Int32.to_int (String.get_int32_le data limit) land 0xFFFFFFFF in
     (* Checked in place: the reader's [limit] already hides the trailer,
        so the payload never needs a copy of its own. *)
-    let actual = adler32_sub data ~off:0 ~len:payload_len in
+    let actual = adler32_sub data ~off ~len:(len - 4) in
     if stored <> actual then
       corrupt "checksum mismatch: stored %08x, computed %08x" stored actual;
-    { data; limit = payload_len; pos = 0 }
+    { data; limit; pos = off }
+
+  let create data = create_sub data ~off:0 ~len:(String.length data)
 
   (* [t.limit - t.pos] cannot overflow, so comparing against it (rather
      than computing [t.pos + n], which can wrap for a hostile length)
@@ -165,6 +166,14 @@ module Reader = struct
     let v = Int64.to_int (String.get_int64_le t.data t.pos) in
     t.pos <- t.pos + 8;
     v
+
+  let span t =
+    let len = int t in
+    if len < 0 then corrupt "negative string length";
+    need t len;
+    let off = t.pos in
+    t.pos <- t.pos + len;
+    (off, len)
 
   let string t =
     let len = int t in

@@ -2,9 +2,9 @@
 
     Used by {!Snapshot} to serialize node state and by the wire codecs
     ({!Wire}, {!Wire_v2}). Deliberately simple and dependency-free:
-    length-prefixed strings, fixed 64-bit integers for the durable
-    formats (node state is dominated by values, not integers), LEB128
-    varints for wire format v2 where the integers themselves dominate,
+    length-prefixed strings, fixed 64-bit integers for snapshots (node
+    state is dominated by values, not integers), LEB128 varints for the
+    v2 session and journal forms where the integers themselves dominate,
     and an exact Adler-32 (RFC 1950) checksum trailer so a truncated or
     corrupted payload is rejected instead of silently loaded. *)
 
@@ -76,9 +76,22 @@ module Reader : sig
       place over [data] (no copy of the payload), and raises {!Corrupt}
       if it does not match. *)
 
+  val create_sub : string -> off:int -> len:int -> t
+  (** [create_sub data ~off ~len] is {!create} over bytes
+      [\[off, off + len)] of [data] — the trailer is the range's last
+      four bytes, checked in place, so an envelope embedded in a larger
+      buffer (a WAL frame, a snapshot's inner payload) is read without
+      a copy. Raises [Invalid_argument] when the range is not inside
+      [data]. *)
+
   val int : t -> int
 
   val string : t -> string
+
+  val span : t -> int * int
+  (** [span t] reads a {!string}'s length prefix and skips its bytes
+      without copying them, returning their [(off, len)] in the string
+      the reader was created over. *)
 
   val bool : t -> bool
 

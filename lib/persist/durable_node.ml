@@ -31,97 +31,117 @@ let snapshot_path dir = Filename.concat dir "node.snap"
 
 let wal_path dir = Filename.concat dir "node.wal"
 
-(* Journal entries. *)
+(* Journal records (DESIGN.md §6a): one tag byte, then the compact
+   Wire_v2 forms — varints, per-record name interning, sparse vectors —
+   sealed in the Codec envelope. The tags start at 0x10 so no record can
+   be misread across the format bump: every record of the earlier
+   fixed-width journal began with its tag as an 8-byte little-endian
+   int, so its first byte is 0..4, which replay refuses by name. *)
+let tag_update = 0x10
+
+let tag_reply = 0x11
+
+let tag_oob = 0x12
+
+let tag_push = 0x13
+
+let tag_membership = 0x14
+
+let last_v1_tag = 4
+
+let encode_record tag body =
+  Codec.Writer.with_scratch (fun w ->
+      Codec.Writer.byte w tag;
+      body w;
+      Codec.Writer.contents w)
 
 let encode_update item op =
-  Codec.Writer.with_scratch (fun w ->
-      Codec.Writer.int w 0;
-      Codec.Writer.string w item;
-      Wire.encode_operation w op;
-      Codec.Writer.contents w)
+  encode_record tag_update (fun w ->
+      Codec.Writer.vstring w item;
+      Wire_v2.encode_operation w op)
 
 let encode_reply ~source reply =
-  Codec.Writer.with_scratch (fun w ->
-      Codec.Writer.int w 1;
-      Codec.Writer.int w source;
-      Wire.encode_propagation_reply w reply;
-      Codec.Writer.contents w)
+  encode_record tag_reply (fun w ->
+      Codec.Writer.varint w source;
+      Wire_v2.encode_propagation_reply w reply)
 
 let encode_oob ~source reply =
-  Codec.Writer.with_scratch (fun w ->
-      Codec.Writer.int w 2;
-      Codec.Writer.int w source;
-      Wire.encode_oob_reply w reply;
-      Codec.Writer.contents w)
+  encode_record tag_oob (fun w ->
+      Codec.Writer.varint w source;
+      Wire_v2.encode_oob_reply w reply)
 
-let encode_push ~source (u : Message.push_update) =
-  Codec.Writer.with_scratch (fun w ->
-      Codec.Writer.int w 3;
-      Codec.Writer.int w source;
-      Codec.Writer.string w u.item;
-      Codec.Writer.int w u.seq;
-      Wire.encode_vv w u.ivv;
-      Codec.Writer.string w u.value;
-      Codec.Writer.contents w)
+let encode_push ~source update =
+  encode_record tag_push (fun w ->
+      Codec.Writer.varint w source;
+      Wire_v2.encode_push w [ update ])
 
 let encode_membership op =
-  Codec.Writer.with_scratch (fun w ->
-      Codec.Writer.int w 4;
-      (match op with
+  encode_record tag_membership (fun w ->
+      match op with
       | Extend { name } ->
-        Codec.Writer.int w 0;
-        Codec.Writer.int w name
+        Codec.Writer.byte w 0;
+        Codec.Writer.varint w name
       | Retire { slot; name } ->
-        Codec.Writer.int w 1;
-        Codec.Writer.int w slot;
-        Codec.Writer.int w name);
-      Codec.Writer.contents w)
+        Codec.Writer.byte w 1;
+        Codec.Writer.varint w slot;
+        Codec.Writer.varint w name)
 
-let apply_journal_record node_ref membership record =
+exception Pre_v2_journal of int
+
+let corrupt fmt = Printf.ksprintf (fun msg -> raise (Codec.Reader.Corrupt msg)) fmt
+
+(* Every record decodes against the dimension of the node it replays
+   onto: a membership record reshapes the node, and the records after
+   it were written at the new dimension. *)
+let apply_journal_record node_ref membership data ~off ~len =
   let node = !node_ref in
-  let r = Codec.Reader.create record in
-  (match Codec.Reader.int r with
-  | 0 ->
-    let item = Codec.Reader.string r in
-    let op = Wire.decode_operation r in
+  let n = Node.dimension node in
+  let r = Codec.Reader.create_sub data ~off ~len in
+  let tag = Codec.Reader.byte r in
+  if tag = tag_update then begin
+    let item = Codec.Reader.vstring r in
+    let op = Wire_v2.decode_operation r in
     Node.update node item op
-  | 1 ->
-    let source = Codec.Reader.int r in
-    let reply = Wire.decode_propagation_reply r in
+  end
+  else if tag = tag_reply then begin
+    let source = Codec.Reader.varint r in
+    let reply = Wire_v2.decode_propagation_reply r ~n in
     let (_ : Node.accept_result) = Node.accept_propagation node ~source reply in
     ()
-  | 2 ->
-    let source = Codec.Reader.int r in
-    let reply = Wire.decode_oob_reply r in
+  end
+  else if tag = tag_oob then begin
+    let source = Codec.Reader.varint r in
+    let reply = Wire_v2.decode_oob_reply r ~n in
     let (_ : Node.oob_result) = Node.accept_out_of_bound node ~source reply in
     ()
-  | 3 ->
-    let source = Codec.Reader.int r in
-    let item = Codec.Reader.string r in
-    let seq = Codec.Reader.int r in
-    let ivv = Wire.decode_vv r in
-    let value = Codec.Reader.string r in
-    let (_ : [ `Applied | `Stale ]) =
-      Node.apply_push node ~source { Message.item; seq; ivv; value }
-    in
-    ()
-  | 4 ->
+  end
+  else if tag = tag_push then begin
+    let source = Codec.Reader.varint r in
+    match Wire_v2.decode_push r ~n with
+    | [ update ] ->
+      let (_ : [ `Applied | `Stale ]) = Node.apply_push node ~source update in
+      ()
+    | updates -> corrupt "push record carries %d updates" (List.length updates)
+  end
+  else if tag = tag_membership then begin
     (* Membership reshape: mechanical vector surgery, replayed exactly
        like any other committed record. The journal append was the
        commit point, so recovery lands on the post-reshape geometry and
        every later journaled reply decodes against the right dimension. *)
-    (match Codec.Reader.int r with
+    match Codec.Reader.byte r with
     | 0 ->
-      let name = Codec.Reader.int r in
+      let name = Codec.Reader.varint r in
       node_ref := Node.extend_dimension node;
       membership := Extend { name } :: !membership
     | 1 ->
-      let slot = Codec.Reader.int r in
-      let name = Codec.Reader.int r in
+      let slot = Codec.Reader.varint r in
+      let name = Codec.Reader.varint r in
       node_ref := Node.retire_component node ~slot;
       membership := Retire { slot; name } :: !membership
-    | op -> raise (Codec.Reader.Corrupt (Printf.sprintf "unknown membership op %d" op)))
-  | tag -> raise (Codec.Reader.Corrupt (Printf.sprintf "unknown journal tag %d" tag)));
+    | op -> corrupt "unknown membership op %d" op
+  end
+  else if tag <= last_v1_tag then raise (Pre_v2_journal tag)
+  else corrupt "unknown journal tag %#x" tag;
   Codec.Reader.expect_end r
 
 let open_or_create ?policy ?mode ?(shards = 1) ~dir ~id ~n () =
@@ -146,11 +166,18 @@ let open_or_create ?policy ?mode ?(shards = 1) ~dir ~id ~n () =
       let node_ref = ref node in
       let membership = ref [] in
       match
-        Wal.replay ~path:(wal_path dir)
+        Wal.replay_in_place ~path:(wal_path dir)
           ~f:(apply_journal_record node_ref membership)
       with
       | Error _ as e -> e
       | exception Codec.Reader.Corrupt msg -> Error ("corrupt journal record: " ^ msg)
+      | exception Pre_v2_journal tag ->
+        Error
+          (Printf.sprintf
+             "unsupported journal: a record carries v1 tag %d; this build reads \
+              only v2 journals — open the directory with the build that wrote \
+              it and checkpoint"
+             tag)
       | Ok replay_result ->
         let wal = Wal.open_writer ~path:(wal_path dir) in
         Ok
@@ -194,35 +221,44 @@ let update t item op =
   journal t (encode_update item op);
   Node.update t.node item op
 
+(* The one journaling path for propagation replies, in-process and
+   remote alike. Journal before applying: the WAL append is the commit
+   point. A crash before it (durable.journal.before, or a torn append
+   via wal.append.partial) loses nothing — recovery sees the
+   pre-session state and a later anti-entropy round re-pulls. A crash
+   after it (durable.apply.before, or any accept.* point inside
+   accept_propagation) re-applies the journaled record on recovery,
+   yielding exactly the post-session state. Never torn.
+
+   The record is the session's effect, not the message: the shipped
+   copies this node already holds and the tail records it would not
+   append are left out, and a session that changes nothing appends no
+   record. Replaying the effect from the pre-session state lands on
+   exactly the post-session state (Node.propagation_effect), so the
+   crash windows above are unchanged. The full reply is still what is
+   accepted, so live behaviour and counters are as before. *)
+let journal_record t ~source reply =
+  Option.map (encode_reply ~source) (Node.propagation_effect t.node reply)
+
+let journal_and_accept t ~source reply =
+  let record = journal_record t ~source reply in
+  Fault.hit "durable.journal.before";
+  Option.iter (journal t) record;
+  Fault.hit "durable.apply.before";
+  Node.accept_propagation t.node ~source reply
+
 let pull_from t ~source =
   let request = Node.propagation_request t.node in
-  let reply = Node.handle_propagation_request source request in
-  match reply with
+  match Node.handle_propagation_request source request with
   | Message.You_are_current -> Node.Already_current
-  | Message.Propagate _ | Message.Propagate_sharded _ ->
-    (* Journal before applying: the WAL append is the commit point.
-       A crash before it (durable.journal.before, or a torn append via
-       wal.append.partial) loses nothing — recovery sees the pre-session
-       state and a later anti-entropy round re-pulls. A crash after it
-       (durable.apply.before, or any accept.* point inside
-       accept_propagation) re-applies the journaled reply on recovery,
-       yielding exactly the post-session state. Never torn. *)
-    Fault.hit "durable.journal.before";
-    journal t (encode_reply ~source:(Node.id source) reply);
-    Fault.hit "durable.apply.before";
-    Node.Pulled (Node.accept_propagation t.node ~source:(Node.id source) reply)
+  | (Message.Propagate _ | Message.Propagate_sharded _) as reply ->
+    Node.Pulled (journal_and_accept t ~source:(Node.id source) reply)
 
 let accept_reply t ~source reply =
   match reply with
   | Message.You_are_current -> ()
   | Message.Propagate _ | Message.Propagate_sharded _ ->
-    (* Same commit discipline as [pull_from], for replies that arrived
-       as decoded frames from a remote transport rather than from an
-       in-process source node. *)
-    Fault.hit "durable.journal.before";
-    journal t (encode_reply ~source reply);
-    Fault.hit "durable.apply.before";
-    let (_ : Node.accept_result) = Node.accept_propagation t.node ~source reply in
+    let (_ : Node.accept_result) = journal_and_accept t ~source reply in
     ()
 
 let apply_push t ~source update =

@@ -2,11 +2,18 @@
 
     Combines {!Snapshot} checkpoints with a {!Wal} redo journal: every
     state-mutating protocol step — user updates, accepted propagation
-    replies, adopted out-of-bound replies — is journaled {e before}
-    being applied, and {!checkpoint} folds the journal into a fresh
-    snapshot. {!open_or_create} recovers by loading the latest
-    checkpoint and re-executing the journal, reconstructing the exact
-    pre-crash state.
+    replies, adopted out-of-bound replies, pushes, membership reshapes —
+    is journaled {e before} being applied, and {!checkpoint} folds the
+    journal into a fresh snapshot. {!open_or_create} recovers by loading
+    the latest checkpoint and re-executing the journal, reconstructing
+    the exact pre-crash state.
+
+    Journal records use the compact {!Wire_v2} forms behind one tag
+    byte each (DESIGN.md §6a). A propagation session journals its
+    {e effect} — what accepting the reply changes — rather than the
+    reply itself. A journal written before this format (fixed-width
+    records, tags 0–4) is refused by {!open_or_create} with an explicit
+    error.
 
     Exactness matters for more than durability: a node's update
     sequence numbers are globally meaningful (other replicas may
@@ -42,7 +49,7 @@ val open_or_create :
     records and whether a torn tail was discarded.
 
     [id] and [n] name the {e checkpoint} geometry: journaled membership
-    reshapes (tag-4 records) replay on top of it, so the recovered
+    reshapes replay on top of it, so the recovered
     {!node} may end at a different dimension or id — inspect it, and
     {!membership_log}, after opening. *)
 
@@ -54,15 +61,25 @@ val update : t -> string -> Edb_store.Operation.t -> unit
 (** Journal, then apply, a user update (§5.3). *)
 
 val pull_from : t -> source:Edb_core.Node.t -> Edb_core.Node.pull_result
-(** One propagation session pulling from [source]: the source's reply
-    is journaled, then accepted. *)
+(** One propagation session pulling from [source]: the session's
+    effect is journaled (see {!journal_record}), then the source's whole
+    reply is accepted. *)
 
 val accept_reply : t -> source:int -> Edb_core.Message.propagation_reply -> unit
 (** Journal, then accept, a propagation reply that arrived from a
     remote transport already decoded (the socket daemon's session
-    path) — the same commit discipline as {!pull_from}, which covers
-    the in-process case. [You_are_current] is a no-op and journals
-    nothing. *)
+    path) — the same commit discipline and the same journaling path as
+    {!pull_from}, which covers the in-process case. [You_are_current]
+    is a no-op and journals nothing. *)
+
+val journal_record :
+  t -> source:int -> Edb_core.Message.propagation_reply -> string option
+(** The record {!accept_reply} would append for [reply] in the current
+    state: the session's effect ([Edb_core.Node.propagation_effect] —
+    no shipped copy this node already holds, no tail record it would
+    not append) in the v2 journal codec, or [None] when the session
+    would change nothing and appends no record. Pure; exposed so the
+    journal's cost can be measured on its own. *)
 
 val fetch_out_of_bound_from :
   t -> source:Edb_core.Node.t -> string -> Edb_core.Node.oob_result
@@ -75,8 +92,8 @@ val apply_push :
     that later journaled AE replies build on — skipping the journal
     would leave recovery replaying those replies against a state
     missing the push. Stale pushes are journaled too (replay re-judges
-    and drops them); a run with push disabled appends no tag-3 records,
-    so its WAL stays byte-identical to pre-push builds. *)
+    and drops them); a run with push disabled appends no push
+    records. *)
 
 val extend_dimension : t -> name:int -> unit
 (** Journal, then apply, the join reshape: every vector gains a zero
@@ -96,7 +113,7 @@ val retire_component : t -> slot:int -> name:int -> unit
 
 val membership_log : t -> membership_op list
 (** Membership reshapes applied since the last checkpoint, oldest
-    first — the replayed tag-4 records plus any appended by this
+    first — the replayed reshape records plus any appended by this
     process. After a crash the membership layer uses this to rebuild
     its view (epoch, roster) before re-judging fences. *)
 

@@ -11,8 +11,9 @@
     {!Edb_core.Peer_cache.Wire_state}). The first request between two
     fresh nodes is therefore v1, but its reply can already be v2. A
     pinned-v1 node ({!Edb_core.Node.set_wire_version}) interoperates
-    transparently; the durable formats (WAL, snapshots) always use v1
-    and never see frames.
+    transparently. The durable formats never see frames: snapshots use
+    v1, and the WAL's journal records use {!Wire_v2} forms behind their
+    own tags ({!Durable_node}).
 
     The v2 request may carry its DBVV as a delta against a {e baseline}
     — the vector of an earlier request the peer has provably decoded

@@ -99,8 +99,7 @@ let encode node =
       Codec.Writer.string w payload;
       Codec.Writer.contents w)
 
-let decode_payload ?policy ?conflict_handler ?mode ~version payload =
-  let r = Codec.Reader.create payload in
+let decode_payload ?policy ?conflict_handler ?mode ~version r =
   let id = Codec.Reader.int r in
   let n = Codec.Reader.int r in
   let shards =
@@ -127,17 +126,19 @@ let decode ?policy ?conflict_handler ?mode blob =
            (Printf.sprintf "unsupported snapshot version %d (expected %d or %d)"
               version version_flat version_sharded));
     let stored = Codec.Reader.int r in
-    let payload = Codec.Reader.string r in
+    (* The payload is checked and decoded where it lies in [blob]: the
+       explicit checksum and the inner envelope's trailer both run over
+       the sub-range, so no copy of the node state is made. *)
+    let off, len = Codec.Reader.span r in
     Codec.Reader.expect_end r;
-    let computed =
-      Codec.adler32_sub payload ~off:0 ~len:(String.length payload)
-    in
+    let computed = Codec.adler32_sub blob ~off ~len in
     if stored <> computed then
       raise
         (Codec.Reader.Corrupt
            (Printf.sprintf "payload checksum mismatch (stored %#x, computed %#x)"
               stored computed));
-    decode_payload ?policy ?conflict_handler ?mode ~version payload
+    decode_payload ?policy ?conflict_handler ?mode ~version
+      (Codec.Reader.create_sub blob ~off ~len)
   with
   | node -> Ok node
   | exception Codec.Reader.Corrupt msg -> Error ("corrupt snapshot: " ^ msg)

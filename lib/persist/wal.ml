@@ -42,7 +42,7 @@ let close_writer w = close_out w.channel
 
 type replay_result = { records : int; torn_tail : bool }
 
-let replay ~path ~f =
+let replay_in_place ~path ~f =
   if not (Sys.file_exists path) then Ok { records = 0; torn_tail = false }
   else
     match open_in_bin path with
@@ -83,11 +83,14 @@ let replay ~path ~f =
                    "WAL damaged: checksum mismatch in record %d at offset %d" count
                    pos)
             else begin
-              f (String.sub data (pos + 8) len);
+              f data ~off:(pos + 8) ~len;
               loop (pos + 8 + len + 4) (count + 1)
             end
       in
       loop 0 0
+
+let replay ~path ~f =
+  replay_in_place ~path ~f:(fun data ~off ~len -> f (String.sub data off len))
 
 let reset ~path =
   let oc = open_out_gen [ Open_trunc; Open_creat; Open_binary ] 0o644 path in

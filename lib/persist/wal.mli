@@ -57,5 +57,14 @@ val replay : path:string -> f:(string -> unit) -> (replay_result, string) result
     [Error] (and [f] has already been applied to the records before
     it). *)
 
+val replay_in_place :
+  path:string ->
+  f:(string -> off:int -> len:int -> unit) ->
+  (replay_result, string) result
+(** {!replay} without the per-record copy: [f data ~off ~len] gets the
+    whole log as read from disk and the record's range in it, already
+    checked against its frame checksum. [data] is the same string for
+    every call. *)
+
 val reset : path:string -> unit
 (** [reset ~path] truncates the log to empty (after a checkpoint). *)

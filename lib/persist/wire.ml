@@ -127,10 +127,8 @@ let decode_propagation_reply r =
     Message.Propagate_sharded (Codec.Reader.list r decode_shard_delta)
   | tag -> corrupt "unknown reply tag %d" tag
 
-(* The request never travels through the WAL or a snapshot — sessions
-   are not journaled from the requesting side — so this codec is new
-   with the framed transports and has no pinned-fixture constraint.
-   Still fixed-width, like every v1 form. *)
+(* The request never travels through a snapshot, so this codec has no
+   pinned-fixture constraint. Still fixed-width, like every v1 form. *)
 let encode_propagation_request w (req : Message.propagation_request) =
   Codec.Writer.int w req.recipient;
   encode_vv w req.recipient_dbvv;
@@ -141,19 +139,3 @@ let decode_propagation_request r =
   let recipient_dbvv = decode_vv r in
   let recipient_shard_dbvvs = Codec.Reader.array r decode_vv in
   { Message.recipient; recipient_dbvv; recipient_shard_dbvvs }
-
-let encode_oob_request w (req : Message.oob_request) =
-  Codec.Writer.string w req.item
-
-let decode_oob_request r = { Message.item = Codec.Reader.string r }
-
-let encode_oob_reply w (reply : Message.oob_reply) =
-  Codec.Writer.string w reply.item;
-  Codec.Writer.string w reply.value;
-  encode_vv w reply.ivv
-
-let decode_oob_reply r =
-  let item = Codec.Reader.string r in
-  let value = Codec.Reader.string r in
-  let ivv = decode_vv r in
-  { Message.item; value; ivv }

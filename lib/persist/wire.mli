@@ -1,7 +1,9 @@
-(** Shared binary codecs for protocol values.
+(** The fixed-width v1 codecs for protocol values.
 
-    Used by {!Snapshot} (node state) and {!Wal} (journaled mutations).
-    Every decoder raises {!Codec.Reader.Corrupt} on malformed input. *)
+    Used by {!Snapshot} (the operations of auxiliary-log records) and
+    by {!Frame} for v1 session frames. The journal is not among its
+    users: {!Durable_node} writes {!Wire_v2} forms. Every decoder
+    raises {!Codec.Reader.Corrupt} on malformed input. *)
 
 val encode_operation : Codec.Writer.t -> Edb_store.Operation.t -> unit
 
@@ -27,16 +29,7 @@ val decode_propagation_reply : Codec.Reader.t -> Edb_core.Message.propagation_re
 val encode_propagation_request :
   Codec.Writer.t -> Edb_core.Message.propagation_request -> unit
 (** The fixed-width v1 request form used by the framed transports
-    ({!Frame}); requests are never journaled, so unlike the reply
-    codecs this one carries no WAL-compatibility constraint. *)
+    ({!Frame}). *)
 
 val decode_propagation_request :
   Codec.Reader.t -> Edb_core.Message.propagation_request
-
-val encode_oob_request : Codec.Writer.t -> Edb_core.Message.oob_request -> unit
-
-val decode_oob_request : Codec.Reader.t -> Edb_core.Message.oob_request
-
-val encode_oob_reply : Codec.Writer.t -> Edb_core.Message.oob_reply -> unit
-
-val decode_oob_reply : Codec.Reader.t -> Edb_core.Message.oob_reply

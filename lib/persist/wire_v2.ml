@@ -19,7 +19,11 @@ let corrupt fmt = Printf.ksprintf (fun msg -> raise (R.Corrupt msg)) fmt
    both start empty per message, so frames stay self-contained. *)
 module Dict = struct
   module Writer = struct
-    let create () : (string, int) Hashtbl.t = Hashtbl.create 32
+    (* Sized from the message's item count: a reply names each shipped
+       item once and its tail records reuse those names, so the table
+       never rehashes — growing from a small default dominated encode
+       time on large catch-up replies. *)
+    let create ~expected : (string, int) Hashtbl.t = Hashtbl.create expected
 
     let string d w s =
       match Hashtbl.find_opt d s with
@@ -280,14 +284,20 @@ let decode_items dict r ~n =
   List.init count (fun _ -> decode_shipped_item dict r ~n)
 
 let encode_propagation_reply w (reply : Message.propagation_reply) =
-  let dict = Dict.Writer.create () in
   match reply with
   | Message.You_are_current -> W.byte w 0
   | Message.Propagate { tails; items } ->
+    let dict = Dict.Writer.create ~expected:(List.length items) in
     W.byte w 1;
     encode_tails dict w tails;
     encode_items dict w items
   | Message.Propagate_sharded deltas ->
+    let expected =
+      List.fold_left
+        (fun acc (d : Message.shard_delta) -> acc + List.length d.items)
+        0 deltas
+    in
+    let dict = Dict.Writer.create ~expected in
     W.byte w 2;
     W.varint w (List.length deltas);
     List.iter
@@ -392,7 +402,7 @@ let decode_oob_reply r ~n =
 (* ------------------------------------------------------------------ *)
 
 let encode_push w updates =
-  let dict = Dict.Writer.create () in
+  let dict = Dict.Writer.create ~expected:(List.length updates) in
   W.varint w (List.length updates);
   List.iter
     (fun (u : Message.push_update) ->

@@ -261,7 +261,10 @@ let accept ?timeout t =
    records it coalesces behind it. A connect failure that the kernel
    can report immediately (ECONNREFUSED on a Unix socket, no listener)
    still surfaces here as [Error]; late failures surface from the first
-   flush or read. *)
+   flush or read. EAGAIN is such an immediate failure, not progress: on
+   a Unix socket it means the listener's backlog is full and no
+   connection was started (on TCP, no local port was free), so a
+   connection built on it could only wait out the session timeout. *)
 let dial t ~peer =
   match List.assoc_opt peer t.peers with
   | None -> Error (Printf.sprintf "no address for peer %d" peer)
@@ -271,9 +274,7 @@ let dial t ~peer =
         match
           Unix.set_nonblock fd;
           (try Unix.connect fd (sockaddr_of_addr addr)
-           with
-           | Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK | Unix.EAGAIN), _, _)
-           -> ());
+           with Unix.Unix_error (Unix.EINPROGRESS, _, _) -> ());
           let conn = make_conn fd peer in
           conn.nonblocking <- true;
           Buffer.add_string conn.out (encode_handshake t.ep_id);

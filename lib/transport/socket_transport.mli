@@ -76,7 +76,9 @@ val dial : t -> peer:int -> (conn, string) result
 (** Open a non-blocking connection to [peer]: the connect is issued
     without waiting (a connect-in-progress is success-so-far; late
     failures surface from the first {!flush_output} or {!read_into})
-    and the outbound handshake is queued in the output buffer. *)
+    and the outbound handshake is queued in the output buffer. A connect
+    the kernel refuses outright — including [EAGAIN] from a listener
+    whose backlog is full — is an immediate [Error]. *)
 
 val accept_nonblocking : t -> (conn option, string) result
 (** Accept one pending inbound connection without blocking ([Ok None]

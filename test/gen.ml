@@ -208,3 +208,56 @@ let scenario =
         until_converged;
         deadline = duration +. headroom;
       })
+
+(* ---------- Session-effect cases (test_journal) ---------- *)
+
+(* A three-node history ending in one reply to node 2. Nodes 0–2 all
+   write a small shared key space (so concurrent copies arise) and sync
+   in arbitrary pairs; [Capture] remembers node 2's request at that
+   point, so a reply built for it later is stale — the shape a
+   recipient with concurrent sessions meets, and where shipped copies
+   it already holds (Equal) or holds newer (Dominated) come from. *)
+type effect_step =
+  | Write of { node : int; key : int; op : Operation.t }
+  | Sync of { recipient : int; source : int }
+  | Capture
+
+type effect_case = {
+  shards : int;
+  op_log : bool;  (** Op-log mode: splices ship as delta payloads. *)
+  resolve : bool;  (** Resolve conflicts instead of reporting them. *)
+  steps : effect_step list;
+  source : int;  (** Node 0 or 1 answers node 2. *)
+  stale : bool;  (** Answer the captured request, if any. *)
+  rotate : int;  (** Rotate every tail by this much: unsorted tails. *)
+  extras : int;
+      (** Splice this many items of the other writer's reply into each
+          delta: repeated names, possibly at other versions. *)
+  extras_first : bool;
+}
+
+let effect_case =
+  QCheck2.Gen.(
+    let step =
+      frequency
+        [
+          ( 5,
+            map3
+              (fun node key op -> Write { node; key; op })
+              (int_bound 2) (int_bound 5) operation );
+          ( 4,
+            map2
+              (fun recipient source -> Sync { recipient; source })
+              (int_bound 2) (int_bound 2) );
+          (1, return Capture);
+        ]
+    in
+    let* shards = oneofl [ 1; 3 ] in
+    let* op_log = bool and* resolve = bool in
+    let* steps = list_size (int_range 0 40) step in
+    let* source = int_bound 1 and* stale = bool in
+    let* rotate = frequency [ (2, return 0); (1, int_range 1 3) ] in
+    let* extras = frequency [ (2, return 0); (1, int_range 1 3) ] in
+    let* extras_first = bool in
+    return
+      { shards; op_log; resolve; steps; source; stale; rotate; extras; extras_first })

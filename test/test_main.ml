@@ -36,6 +36,7 @@ let () =
       ("push", Test_push.suite);
       ("explorer", Test_explorer.suite);
       ("wal", Test_wal.suite);
+      ("journal", Test_journal.suite);
       ("fault", Test_fault.suite);
       ("integration", Test_integration.suite);
       ("membership", Test_membership.suite);

@@ -340,6 +340,50 @@ let test_socket_unix_session () =
       | Ok () -> ()
       | Error e -> Alcotest.fail ("invariants: " ^ e))
 
+(* A listener whose backlog is full answers a non-blocking connect with
+   EAGAIN: no connection was started, so dialing it must fail at once
+   (the peer is retried next tick) rather than hand back a connection
+   that can only sit until the session timeout. Backlog 1, never
+   accepted: the first dials queue, the rest must be refused, and every
+   connection that was handed back must take its handshake. *)
+let test_dial_full_backlog_fails_fast () =
+  let path = Filename.concat (Lazy.force temp_dir) "backlog.sock" in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let client =
+    match
+      Socket_transport.create ~id:1 ~peers:[ (0, Socket_transport.Unix_path path) ] ()
+    with
+    | Ok t -> t
+    | Error e -> Alcotest.fail ("client create: " ^ e)
+  in
+  let conns = ref [] and refused = ref 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Socket_transport.close_conn !conns;
+      Socket_transport.close client;
+      Unix.close lfd;
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () ->
+      let started = Unix.gettimeofday () in
+      for _ = 1 to 8 do
+        match Socket_transport.dial client ~peer:0 with
+        | Error _ -> incr refused
+        | Ok conn -> conns := conn :: !conns
+      done;
+      Alcotest.(check bool) "a full backlog refuses some dial" true (!refused >= 1);
+      Alcotest.(check bool) "refusals are prompt" true
+        (Unix.gettimeofday () -. started < 1.0);
+      List.iter
+        (fun conn ->
+          match Socket_transport.flush_output conn with
+          | `Drained -> ()
+          | `Blocked -> Alcotest.fail "a dialed connection hangs: never connected"
+          | `Error e -> Alcotest.fail ("dialed connection failed late: " ^ e))
+        !conns)
+
 (* ---------- multi-process daemons ---------- *)
 
 let cluster_dir name =
@@ -579,6 +623,8 @@ let suite =
       test_sim_dead_peer_abandons;
     Alcotest.test_case "socket: one session over a unix socket" `Quick
       test_socket_unix_session;
+    Alcotest.test_case "socket: full backlog refuses dial promptly" `Quick
+      test_dial_full_backlog_fails_fast;
     Alcotest.test_case "daemons: 2-process unix cluster converges" `Quick
       test_daemon_pair_converges;
     Alcotest.test_case "daemons: kill -9 recovery from the WAL" `Quick

@@ -278,8 +278,6 @@ let fuzz_blobs =
      [
        ("v1 request", encode (fun w -> Wire.encode_propagation_request w req));
        ("v1 reply", encode (fun w -> Wire.encode_propagation_reply w reply));
-       ("v1 oob request", encode (fun w -> Wire.encode_oob_request w oob_req));
-       ("v1 oob reply", encode (fun w -> Wire.encode_oob_reply w oob_reply));
        ("v2 request", encode (fun w -> Wire_v2.encode_propagation_request w req));
        ( "v2 delta request",
          encode (fun w ->
@@ -303,8 +301,6 @@ let feed_all_decoders blob =
           (Wire.decode_propagation_request (Codec.Reader.create blob)));
       (fun () ->
         ignore (Wire.decode_propagation_reply (Codec.Reader.create blob)));
-      (fun () -> ignore (Wire.decode_oob_request (Codec.Reader.create blob)));
-      (fun () -> ignore (Wire.decode_oob_reply (Codec.Reader.create blob)));
       (fun () ->
         ignore
           (Wire_v2.decode_propagation_request (Codec.Reader.create blob) ~n:2
@@ -342,7 +338,8 @@ let prop_fuzz_bit_flips =
       ~name:"bit-flipped frames: every decoder returns or raises Corrupt"
       ~count:400 gen
       (fun (which, position, mask) ->
-        let _, blob = List.nth (Lazy.force fuzz_blobs) (which mod 13) in
+        let blobs = Lazy.force fuzz_blobs in
+        let _, blob = List.nth blobs (which mod List.length blobs) in
         let mutated = Bytes.of_string blob in
         let position = position mod Bytes.length mutated in
         Bytes.set mutated position
