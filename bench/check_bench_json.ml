@@ -79,12 +79,14 @@ let check_micro path doc =
     fail "%s: e22 daemon sessions fan-out=4 slower than fan-out=1 (%g > %g ns)"
       path (daemon_ns "sessions" 4) (daemon_ns "sessions" 1);
   (* The envelope instances: the checksum kernel and copy-free reader
-     (Reader.create over 1 MiB) and a restarting replica's snapshot
-     decode; and the journal record of a hot-write-shaped session. Each
+     (Reader.create over 1 MiB), a restarting replica's snapshot decode
+     and the checkpoint encode; and the journal record of a
+     hot-write-shaped session. Each
      must carry a finite positive time and measured — not null —
      allocation figures, since allocation is half of what they exist to
      show. *)
   let journal = "edb persist durable journal 45 x 128 B n=3" in
+  let snapshot_decode = "edb persist snapshot decode 20k x 128 B" in
   List.iter
     (fun name ->
       match List.assoc_opt name benchmarks with
@@ -101,18 +103,22 @@ let check_micro path doc =
         | _ -> fail "%s: benchmark %S has a non-positive ns_per_op" path name))
     [
       "edb persist codec Reader.create 1 MiB";
-      "edb persist snapshot decode 20k x 128 B";
+      snapshot_decode;
+      "edb persist snapshot encode 20k x 128 B";
       journal;
     ];
-  (* The journal instance also carries the size of the record it
-     times, so a journal format that grows shows up next to its cost. *)
-  (match
-     Option.bind
-       (Option.bind (List.assoc_opt journal benchmarks) (Json.member "bytes_per_record"))
-       Json.to_float_opt
-   with
-  | Some v when Float.is_finite v && v > 0.0 -> ()
-  | _ -> fail "%s: benchmark %S lacks a finite positive bytes_per_record" path journal);
+  (* The journal and snapshot decode instances also carry the size of
+     what they time, so a format that grows shows up next to its cost. *)
+  List.iter
+    (fun (name, key) ->
+      match
+        Option.bind
+          (Option.bind (List.assoc_opt name benchmarks) (Json.member key))
+          Json.to_float_opt
+      with
+      | Some v when Float.is_finite v && v > 0.0 -> ()
+      | _ -> fail "%s: benchmark %S lacks a finite positive %s" path name key)
+    [ (journal, "bytes_per_record"); (snapshot_decode, "bytes_per_item") ];
   let experiments =
     require "experiments list"
       (Option.bind (Json.member "experiments" doc) Json.to_list_opt)

@@ -67,18 +67,31 @@ let declare_conflict t ~item ~local_vv ~remote_vv ~origin =
   Log.info (fun m -> m "%a" Conflict.pp conflict);
   t.conflict_handler conflict
 
-let create ?(policy = Report_only) ?(conflict_handler = fun _ -> ())
-    ?(mode = Whole_item) ?(shards = 1) ~id ~n () =
+let validate ~mode ~shards ~id ~n =
   if n <= 0 then invalid_arg "Node.create: n must be positive";
   if id < 0 || id >= n then invalid_arg "Node.create: id out of range";
   if shards < 1 then invalid_arg "Node.create: shards must be >= 1";
-  (match mode with
+  match mode with
   | Whole_item -> ()
   | Op_log { depth } ->
-    if depth < 1 then invalid_arg "Node.create: op-log depth must be >= 1");
-  let replicas = Array.init shards (fun _ -> Replica.create ~n) in
+    if depth < 1 then invalid_arg "Node.create: op-log depth must be >= 1"
+
+(* The node around already-built shard replicas — fresh ones from
+   [create], restored ones from [import_state]. *)
+let assemble ~policy ~conflict_handler ~mode ~id ~n replicas =
+  let shards = Array.length replicas in
   let summary =
-    if shards = 1 then replicas.(0).Replica.dbvv else Vv.create ~n
+    if shards = 1 then replicas.(0).Replica.dbvv
+    else begin
+      let sum = Vv.create ~n in
+      Array.iter
+        (fun (rep : Replica.t) ->
+          for l = 0 to n - 1 do
+            Vv.set sum l (Vv.get sum l + Vv.get rep.dbvv l)
+          done)
+        replicas;
+      sum
+    end
   in
   let counters = Counters.create () in
   let rec t =
@@ -113,6 +126,12 @@ let create ?(policy = Report_only) ?(conflict_handler = fun _ -> ())
     }
   in
   t
+
+let create ?(policy = Report_only) ?(conflict_handler = fun _ -> ())
+    ?(mode = Whole_item) ?(shards = 1) ~id ~n () =
+  validate ~mode ~shards ~id ~n;
+  assemble ~policy ~conflict_handler ~mode ~id ~n
+    (Array.init shards (fun _ -> Replica.create ~n))
 
 let revision t = t.revision
 
@@ -580,11 +599,11 @@ module State = struct
   type aux_record = { item : string; ivv : int array; op : Operation.t }
 
   type shard = {
-    items : item list;
+    items : item array;
     dbvv : int array;
-    logs : (string * int) list array;
-    aux_items : item list;
-    aux_log : aux_record list;
+    logs : (int * int) array array;
+    aux_items : item array;
+    aux_log : aux_record array;
   }
 
   type t = { id : int; n : int; shards : shard array }
@@ -595,82 +614,104 @@ let export_state t =
     { State.name = it.name; value = it.value; ivv = Vv.to_array it.ivv }
   in
   let export_shard (rep : Replica.t) =
-    let items =
-      List.rev (Store.fold (fun acc it -> item_state it :: acc) [] rep.store)
+    let sorted = Store.sorted_items rep.store in
+    let index = Hashtbl.create (Array.length sorted) in
+    Array.iteri (fun k (it : Item.t) -> Hashtbl.add index it.name k) sorted;
+    let link (r : Log_record.t) =
+      match Hashtbl.find_opt index r.item with
+      | Some k -> (k, r.seq)
+      | None ->
+        invalid_arg
+          (Printf.sprintf "Node.export_state: log record for %S names no item" r.item)
     in
     let logs =
       Array.init t.n (fun origin ->
-          List.map
-            (fun (r : Log_record.t) -> (r.item, r.seq))
-            (Log_component.to_list (Log_vector.component rep.logs origin)))
+          Array.of_list
+            (List.map link
+               (Log_component.to_list (Log_vector.component rep.logs origin))))
     in
     let aux_items =
       Hashtbl.fold (fun _ it acc -> item_state it :: acc) rep.aux_items []
       |> List.sort (fun (a : State.item) b -> String.compare a.name b.name)
+      |> Array.of_list
     in
     let aux_log =
-      List.map
-        (fun (r : Aux_log.record) ->
-          { State.item = r.item; ivv = Vv.to_array r.ivv; op = r.op })
-        (Aux_log.to_list rep.aux_log)
+      Array.of_list
+        (List.map
+           (fun (r : Aux_log.record) ->
+             { State.item = r.item; ivv = Vv.to_array r.ivv; op = r.op })
+           (Aux_log.to_list rep.aux_log))
     in
-    { State.items; dbvv = Vv.to_array rep.dbvv; logs; aux_items; aux_log }
+    {
+      State.items = Array.map item_state sorted;
+      dbvv = Vv.to_array rep.dbvv;
+      logs;
+      aux_items;
+      aux_log;
+    }
   in
   { State.id = t.id; n = t.n; shards = Array.map export_shard t.replicas }
 
-let import_state ?policy ?conflict_handler ?mode (state : State.t) =
+let import_state ?(policy = Report_only) ?(conflict_handler = fun _ -> ())
+    ?(mode = Whole_item) (state : State.t) =
+  let n = state.n in
   let shards = Array.length state.shards in
   if shards = 0 then invalid_arg "Node.import_state: no shards";
-  let t =
-    create ?policy ?conflict_handler ?mode ~shards ~id:state.id ~n:state.n ()
+  validate ~mode ~shards ~id:state.id ~n;
+  let fail fmt =
+    Printf.ksprintf (fun msg -> invalid_arg ("Node.import_state: " ^ msg)) fmt
   in
   let import_shard s (shard : State.shard) =
-    let rep = t.replicas.(s) in
-    if Array.length shard.dbvv <> state.n then
-      invalid_arg "Node.import_state: DBVV dimension mismatch";
-    if Array.length shard.logs <> state.n then
-      invalid_arg "Node.import_state: log vector dimension mismatch";
-    let restore_item (st : State.item) =
-      if Array.length st.ivv <> state.n then
-        invalid_arg "Node.import_state: item IVV dimension mismatch";
-      let it = Store.find_or_create rep.Replica.store st.name in
-      it.value <- st.value;
-      it.ivv <- Vv.of_array st.ivv
+    let owned name =
+      let owner = Shard_map.shard_of ~shards name in
+      if owner <> s then fail "%S filed under shard %d, owned by shard %d" name s owner
     in
-    List.iter restore_item shard.items;
-    (* [create] made zero DBVVs; overwrite shard and summary in place. *)
+    (* The state's arrays become the node's: no IVV is copied twice. *)
+    let adopt what (st : State.item) =
+      if Array.length st.ivv <> n then fail "%s IVV dimension mismatch" what;
+      owned st.name;
+      { Item.name = st.name; value = st.value; ivv = Vv.adopt st.ivv;
+        is_selected = false }
+    in
+    if Array.length shard.dbvv <> n then fail "DBVV dimension mismatch";
+    if Array.length shard.logs <> n then fail "log vector dimension mismatch";
+    let items = Array.map (adopt "item") shard.items in
+    (* Checks the names strictly ascend, hence are distinct. *)
+    let store = Store.of_sorted ~n items in
+    let count = Array.length items in
+    let record (index, seq) =
+      if index < 0 || index >= count then
+        fail "log record points at item %d of %d" index count;
+      (* The record shares its item's name string. *)
+      { Log_record.item = items.(index).name; seq }
+    in
+    let component records = Log_component.of_array (Array.map record records) in
+    let logs = Log_vector.of_components (Array.map component shard.logs) in
+    let aux_items = Hashtbl.create (max 8 (Array.length shard.aux_items)) in
     Array.iteri
-      (fun l v ->
-        Vv.set rep.dbvv l v;
-        if not (t.summary == rep.dbvv) then
-          Vv.set t.summary l (Vv.get t.summary l + v))
-      shard.dbvv;
-    Array.iteri
-      (fun origin records ->
-        List.iter
-          (fun (item, seq) ->
-            (* Log_component.add enforces the monotonic-seq invariant and
-               rejects inconsistent snapshots. *)
-            Log_vector.add rep.logs ~origin ~item ~seq)
-          records)
-      shard.logs;
-    List.iter
-      (fun (st : State.item) ->
-        if Array.length st.ivv <> state.n then
-          invalid_arg "Node.import_state: aux IVV dimension mismatch";
-        let it = Item.create ~name:st.name ~n:state.n in
-        it.value <- st.value;
-        it.ivv <- Vv.of_array st.ivv;
-        Hashtbl.replace rep.aux_items st.name it)
+      (fun k (st : State.item) ->
+        if k > 0 && String.compare shard.aux_items.(k - 1).name st.name >= 0 then
+          fail "aux item names not strictly ascending";
+        Hashtbl.add aux_items st.name (adopt "aux" st))
       shard.aux_items;
-    List.iter
+    let aux_log = Aux_log.create () in
+    Array.iter
       (fun (r : State.aux_record) ->
-        Aux_log.append rep.aux_log
-          { Aux_log.item = r.item; ivv = Vv.of_array r.ivv; op = r.op })
-      shard.aux_log
+        if Array.length r.ivv <> n then fail "aux record IVV dimension mismatch";
+        owned r.item;
+        Aux_log.append aux_log { Aux_log.item = r.item; ivv = Vv.adopt r.ivv; op = r.op })
+      shard.aux_log;
+    {
+      Replica.store;
+      dbvv = Vv.adopt shard.dbvv;
+      logs;
+      aux_items;
+      aux_log;
+      histories = Hashtbl.create 8;
+    }
   in
-  Array.iteri import_shard state.shards;
-  t
+  assemble ~policy ~conflict_handler ~mode ~id:state.id ~n
+    (Array.mapi import_shard state.shards)
 
 (* ------------------------------------------------------------------ *)
 (* Membership reshape                                                  *)
@@ -688,12 +729,12 @@ let reshaped ~id ~n ~f_vec ~f_logs t =
   let reshape_item (it : State.item) = { it with State.ivv = f_vec it.State.ivv } in
   let reshape_shard (sh : State.shard) =
     {
-      State.items = List.map reshape_item sh.State.items;
+      State.items = Array.map reshape_item sh.State.items;
       dbvv = f_vec sh.State.dbvv;
       logs = f_logs sh.State.logs;
-      aux_items = List.map reshape_item sh.State.aux_items;
+      aux_items = Array.map reshape_item sh.State.aux_items;
       aux_log =
-        List.map
+        Array.map
           (fun (r : State.aux_record) -> { r with State.ivv = f_vec r.State.ivv })
           sh.State.aux_log;
     }
@@ -710,7 +751,7 @@ let reshaped ~id ~n ~f_vec ~f_logs t =
 
 let extend_dimension t =
   let f_vec v = Vv.to_array (Vv.extend (Vv.of_array v)) in
-  let f_logs logs = Array.append logs [| [] |] in
+  let f_logs logs = Array.append logs [| [||] |] in
   reshaped ~id:t.id ~n:(t.n + 1) ~f_vec ~f_logs t
 
 let retire_component t ~slot =

@@ -334,7 +334,9 @@ val fetch_out_of_bound : recipient:t -> source:t -> string -> oob_result
     every structure the protocol depends on, shard by shard: items with
     IVVs, the per-shard DBVV, the per-shard log vector (in origin
     order), auxiliary copies and the auxiliary log (in arrival order).
-    Exports are deterministic by construction: item lists are in
+    It is laid out the way a checkpoint file is: arrays, with each log
+    record pointing at its item by index into the shard's item table.
+    Exports are deterministic by construction: item arrays are in
     ascending name order (the store iterates sorted), auxiliary items
     are sorted, and the summary DBVV is re-derived on import. *)
 
@@ -344,11 +346,12 @@ module State : sig
   type aux_record = { item : string; ivv : int array; op : Edb_store.Operation.t }
 
   type shard = {
-    items : item list;  (** Ascending name order. *)
+    items : item array;  (** Strictly ascending name order. *)
     dbvv : int array;
-    logs : (string * int) list array;  (** Per origin, [(item, seq)] oldest first. *)
-    aux_items : item list;  (** Ascending name order. *)
-    aux_log : aux_record list;  (** Oldest first. *)
+    logs : (int * int) array array;
+        (** Per origin, [(index into items, seq)], oldest first. *)
+    aux_items : item array;  (** Strictly ascending name order. *)
+    aux_log : aux_record array;  (** Oldest first. *)
   }
 
   type t = { id : int; n : int; shards : shard array }
@@ -357,7 +360,8 @@ end
 val export_state : t -> State.t
 (** [export_state t] is a deep copy of [t]'s durable state. Volatile
     state (counters, conflict reports, scratch flags, the peer cache)
-    is not part of it. *)
+    is not part of it. Raises [Invalid_argument] if a log record names
+    an item the shard's store lacks (a broken node). *)
 
 val import_state :
   ?policy:resolution_policy ->
@@ -366,9 +370,19 @@ val import_state :
   State.t ->
   t
 (** [import_state state] reconstructs a node with
-    [Array.length state.shards] shards. Raises [Invalid_argument] if
-    the state is structurally inconsistent (bad dimensions,
-    non-monotonic log sequences). The reconstructed node satisfies
+    [Array.length state.shards] shards, in one pass over the arrays. It
+    is the only way to rebuild a node: checkpoint load, membership
+    reshape and join all come through here. The node takes the state's
+    arrays over (IVVs and DBVVs are adopted, not copied), so [state]
+    must not be used afterwards.
+
+    Raises [Invalid_argument] if the state is structurally
+    inconsistent: bad dimensions, a negative vector component, item
+    names that do not strictly ascend, an item (regular or auxiliary)
+    filed under a shard that {!Shard_map.shard_of} does not assign it
+    to, a log index outside the item table, a log component whose
+    sequence numbers do not strictly increase, or one holding two
+    records for an item. The reconstructed node satisfies
     {!check_invariants} whenever the exported one did. Per-item op
     histories are volatile and not part of the state: a node restored
     in [Op_log] mode starts with empty histories and safely falls back

@@ -23,6 +23,22 @@ let add t ~item ~seq =
   let node = Dll.append t.records { Log_record.item; seq } in
   Hashtbl.replace t.pointer item node
 
+let of_array records =
+  let t = { records = Dll.create (); pointer = Hashtbl.create (Array.length records) } in
+  let latest = ref 0 in
+  Array.iter
+    (fun (r : Log_record.t) ->
+      if r.seq <= !latest then
+        invalid_arg "Log_component.of_array: sequence numbers must increase";
+      latest := r.seq;
+      Hashtbl.replace t.pointer r.item (Dll.append t.records r))
+    records;
+  (* A repeated item overwrote its pointer entry, so it shows up here as
+     one entry fewer than records. *)
+  if Hashtbl.length t.pointer <> Array.length records then
+    invalid_arg "Log_component.of_array: two records for one item";
+  t
+
 let tail_after t ~seq =
   Dll.take_while_rev (fun (r : Log_record.t) -> r.seq > seq) t.records
 

@@ -25,6 +25,14 @@ val add : t -> item:string -> seq:int -> unit
     must be added in strictly increasing order; violating this is a
     protocol bug and raises [Invalid_argument]. *)
 
+val of_array : Log_record.t array -> t
+(** [of_array records] is the component holding [records], oldest first,
+    with its pointer map sized once from their count — the bulk path of
+    a checkpoint load. It checks what a run of {!add} would keep true:
+    sequence numbers strictly increase, and no item has two records
+    (where {!add} would unlink the older one, a checkpoint holding both
+    is inconsistent). Raises [Invalid_argument] otherwise. *)
+
 val tail_after : t -> seq:int -> Log_record.t list
 (** [tail_after t ~seq] is the records with sequence number strictly
     greater than [seq], oldest first. Time linear in the result

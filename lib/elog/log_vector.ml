@@ -4,6 +4,11 @@ let create ~n =
   if n <= 0 then invalid_arg "Log_vector.create: dimension must be positive";
   Array.init n (fun _ -> Log_component.create ())
 
+let of_components components =
+  if Array.length components = 0 then
+    invalid_arg "Log_vector.of_components: dimension must be positive";
+  components
+
 let dimension t = Array.length t
 
 let component t j = t.(j)

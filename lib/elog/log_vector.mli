@@ -10,6 +10,11 @@ type t
 val create : n:int -> t
 (** [create ~n] is a log vector with [n] empty components. *)
 
+val of_components : Log_component.t array -> t
+(** [of_components cs] is the log vector whose component [j] is
+    [cs.(j)]; it takes the array over. Raises [Invalid_argument] when
+    [cs] is empty. *)
+
 val dimension : t -> int
 
 val component : t -> int -> Log_component.t

@@ -22,7 +22,7 @@ module Counters = Edb_metrics.Counters
 
    - [Join]: every member appends a zero component for the new site
      ([Node.extend_dimension]); the joiner itself is bootstrapped from a
-     snapshot-v3 transfer of its donor and serves no reads until its
+     snapshot transfer of its donor and serves no reads until its
      summary DBVV dominates the donor's transfer watermark.
    - [Retire_done]: every member drops the victim's component
      ([Node.retire_component]). This is only appended once the victim's
@@ -403,7 +403,7 @@ let join t ~donor =
       catch_up t d;
       let (_ : event) = append t (Join { name; donor }) in
       catch_up t d;
-      (* Snapshot-v3 transfer: the wire-format blob round-trips through
+      (* Snapshot transfer: the wire-format blob round-trips through
          the real codec, then the joiner takes the vacated last slot. *)
       let blob = Snapshot.encode d.node in
       match Snapshot.decode ?policy:t.policy ?mode:t.mode blob with

@@ -15,7 +15,7 @@
 
     Three membership operations:
 
-    - {b join} — a fresh site bootstraps from a snapshot-v3 transfer of
+    - {b join} — a fresh site bootstraps from a snapshot transfer of
       a live donor, then catches up by ordinary anti-entropy. It serves
       no reads until its summary DBVV dominates the donor's transfer
       watermark, at which point it activates ([joins_completed]).
@@ -129,7 +129,7 @@ val read : t -> name:int -> item:string -> (string option, string) result
 (** {1 Membership operations} *)
 
 val join : t -> donor:int -> (int, string) result
-(** [join t ~donor] bootstraps a fresh member from a snapshot-v3
+(** [join t ~donor] bootstraps a fresh member from a snapshot
     transfer of [donor] (which must be live and active) and returns its
     stable name. The newcomer enters the roster immediately — every
     member extends its vectors on reconcile — but stays [Joining] until

@@ -218,18 +218,19 @@ module Reader = struct
     t.pos <- t.pos + 1;
     c
 
-  let varint t =
-    let rec loop shift acc =
-      if shift > 56 then corrupt "varint longer than 9 bytes"
-      else begin
-        need t 1;
-        let b = Char.code t.data.[t.pos] in
-        t.pos <- t.pos + 1;
-        let acc = acc lor ((b land 0x7F) lsl shift) in
-        if b land 0x80 = 0 then acc else loop (shift + 7) acc
-      end
-    in
-    loop 0 0
+  (* Top-level rather than a local loop, which would capture [t] in a
+     closure allocated on every call. *)
+  let rec varint_from t shift acc =
+    if shift > 56 then corrupt "varint longer than 9 bytes"
+    else begin
+      need t 1;
+      let b = Char.code t.data.[t.pos] in
+      t.pos <- t.pos + 1;
+      let acc = acc lor ((b land 0x7F) lsl shift) in
+      if b land 0x80 = 0 then acc else varint_from t (shift + 7) acc
+    end
+
+  let varint t = varint_from t 0 0
 
   let svarint t =
     let u = varint t in

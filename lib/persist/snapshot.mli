@@ -14,7 +14,13 @@
     checkpointing never destroys the previous checkpoint. *)
 
 val encode : Edb_core.Node.t -> string
-(** [encode node] is the binary snapshot blob. *)
+(** [encode node] is the binary snapshot blob:
+    [encode_state (Node.export_state node)]. *)
+
+val encode_state : Edb_core.Node.State.t -> string
+(** [encode_state state] is the blob {!decode} rebuilds [state] from. It
+    checks nothing, so a test can seal an inconsistent state behind
+    valid checksums. *)
 
 val decode :
   ?policy:Edb_core.Node.resolution_policy ->
@@ -22,9 +28,11 @@ val decode :
   ?mode:Edb_core.Node.propagation_mode ->
   string ->
   (Edb_core.Node.t, string) result
-(** [decode blob] reconstructs the node, or explains why the blob is
-    unusable (checksum mismatch, truncation, version skew, structural
-    inconsistency). *)
+(** [decode blob] reconstructs the node through
+    {!Edb_core.Node.import_state}, or explains why the blob is unusable
+    (checksum mismatch, truncation, version skew, structural
+    inconsistency). Never raises. Blobs in the retired version 2 (flat)
+    and 3 (sharded) layouts are refused by name. *)
 
 val save : Edb_core.Node.t -> path:string -> unit
 (** [save node ~path] writes {!encode}'s output atomically. *)

@@ -80,7 +80,11 @@ let encode_vv w vv =
     end
   done
 
-let decode_sparse_pairs r ~n ~what fill =
+(* Adds each decoded pair into [a] (zeros for an absolute vector, the
+   baseline for a delta). No closure: this runs once per item of a
+   checkpoint load. *)
+let decode_sparse_into r a ~what =
+  let n = Array.length a in
   let count = R.varint r in
   if count < 0 || count > n then
     corrupt "%s carries %d entries over dimension %d" what count n;
@@ -92,14 +96,31 @@ let decode_sparse_pairs r ~n ~what fill =
     prev := j;
     let v = R.varint r in
     if v <= 0 then corrupt "%s entry at origin %d is %d, not positive" what j v;
-    fill j v
+    if a.(j) > max_int - v then corrupt "%s overflows at origin %d" what j;
+    a.(j) <- a.(j) + v
   done
 
-let decode_vv r ~n =
+(* The same form over a plain array, for checkpoint state, which holds
+   vectors as arrays until import adopts them. *)
+let encode_vv_array w a =
+  let nz = ref 0 in
+  Array.iter (fun v -> if v <> 0 then incr nz) a;
+  W.varint w !nz;
+  Array.iteri
+    (fun j v ->
+      if v <> 0 then begin
+        W.varint w j;
+        W.varint w v
+      end)
+    a
+
+let decode_vv_array r ~n =
   if n < 1 then invalid_arg "Wire_v2.decode_vv: dimension below 1";
   let a = Array.make n 0 in
-  decode_sparse_pairs r ~n ~what:"sparse version vector" (fun j v -> a.(j) <- v);
-  Vv.of_array a
+  decode_sparse_into r a ~what:"sparse version vector";
+  a
+
+let decode_vv r ~n = Vv.adopt (decode_vv_array r ~n)
 
 (* Delta form: the sparse encoding of [vv - baseline]. Only valid when
    [vv] dominates or equals [baseline] — DBVVs are monotone, so a
@@ -126,13 +147,9 @@ let encode_vv_delta w ~baseline vv =
   done
 
 let decode_vv_delta r ~baseline =
-  let n = Vv.dimension baseline in
   let a = Vv.to_array baseline in
-  decode_sparse_pairs r ~n ~what:"delta version vector" (fun j d ->
-      if a.(j) > max_int - d then
-        corrupt "delta version vector overflows at origin %d" j;
-      a.(j) <- a.(j) + d);
-  Vv.of_array a
+  decode_sparse_into r a ~what:"delta version vector";
+  Vv.adopt a
 
 (* A cheap commitment to the baseline's contents, carried next to the
    baseline id in delta requests. The id alone already pins the vector;

@@ -20,6 +20,13 @@ val encode_vv : Codec.Writer.t -> Edb_vv.Version_vector.t -> unit
 
 val decode_vv : Codec.Reader.t -> n:int -> Edb_vv.Version_vector.t
 
+val encode_vv_array : Codec.Writer.t -> int array -> unit
+(** {!encode_vv} over a plain array (a {!Edb_core.Node.State} vector).
+    A negative component is written as-is and refused on decode. *)
+
+val decode_vv_array : Codec.Reader.t -> n:int -> int array
+(** {!decode_vv} into a fresh array: every component is non-negative. *)
+
 val encode_vv_delta :
   Codec.Writer.t ->
   baseline:Edb_vv.Version_vector.t ->

@@ -12,6 +12,14 @@ val create : n:int -> t
 (** [create ~n] is an empty store whose items carry IVVs of dimension
     [n] (the replication factor). *)
 
+val of_sorted : n:int -> Item.t array -> t
+(** [of_sorted ~n items] is the store holding exactly [items], which
+    must be in strictly ascending name order (so no name repeats); the
+    store keeps the array itself as its ascending-order view, so the
+    caller must not touch it afterwards. The items' IVVs must have
+    dimension [n]; the caller checks. Raises [Invalid_argument] on an
+    out-of-order or repeated name. *)
+
 val dimension : t -> int
 (** [dimension t] is the IVV dimension [n] passed at creation. *)
 
@@ -34,6 +42,10 @@ val iter : (Item.t -> unit) -> t -> unit
 
 val fold : ('acc -> Item.t -> 'acc) -> 'acc -> t -> 'acc
 (** Folds in ascending name order; see {!iter}. *)
+
+val sorted_items : t -> Item.t array
+(** Every item in ascending name order: the store's own cached array,
+    not a copy, so read-only. Rebuilt after an insertion. *)
 
 val names : t -> string list
 (** [names t] is the materialized item names, in ascending order. *)

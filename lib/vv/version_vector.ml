@@ -6,9 +6,11 @@ let create ~n =
   if n <= 0 then invalid_arg "Version_vector.create: dimension must be positive";
   Array.make n 0
 
-let of_array a =
-  Array.iter (fun v -> if v < 0 then invalid_arg "Version_vector.of_array: negative component") a;
-  Array.copy a
+let adopt a =
+  Array.iter (fun v -> if v < 0 then invalid_arg "Version_vector: negative component") a;
+  a
+
+let of_array a = adopt (Array.copy a)
 
 let to_array t = Array.copy t
 

@@ -33,6 +33,12 @@ val of_array : int array -> t
 (** [of_array a] copies [a] into a fresh vector. Components must be
     non-negative. *)
 
+val adopt : int array -> t
+(** [adopt a] is {!of_array} without the copy: the vector {e is} [a],
+    so the caller must not touch [a] afterwards. For decoders and state
+    import, which build an array only to hand it over. Raises
+    [Invalid_argument] on a negative component. *)
+
 val to_array : t -> int array
 (** [to_array t] is a fresh array snapshot of [t]. *)
 

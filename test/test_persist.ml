@@ -339,6 +339,151 @@ let prop_decoder_rejects_garbage =
       | Error _ -> true
       | Ok _ -> (* vanishingly unlikely; would mean a forged checksum *) false)
 
+(* ---------- v4 payload, past the checksum ---------- *)
+
+(* A blob's v4 payload without its trailer, and the blob that seals a
+   payload the way [Snapshot.encode] does, every checksum valid. *)
+let payload_of blob =
+  let r = Codec.Reader.create blob in
+  ignore (Codec.Reader.string r : string);
+  ignore (Codec.Reader.int r : int);
+  ignore (Codec.Reader.int r : int);
+  let off, len = Codec.Reader.span r in
+  String.sub blob off (len - 4)
+
+let seal payload =
+  let len = String.length payload in
+  let inner = Bytes.create (len + 4) in
+  Bytes.blit_string payload 0 inner 0 len;
+  Bytes.set_int32_le inner len (Int32.of_int (Codec.adler32_sub payload ~off:0 ~len));
+  let inner = Bytes.to_string inner in
+  let w = Codec.Writer.create () in
+  Codec.Writer.string w "EDBSNAP1";
+  Codec.Writer.int w 4;
+  Codec.Writer.int w (Codec.adler32_sub inner ~off:0 ~len:(String.length inner));
+  Codec.Writer.string w inner;
+  Codec.Writer.contents w
+
+let test_seal_matches_encode () =
+  let blob = Snapshot.encode (busy_node ()) in
+  Alcotest.(check string) "re-sealed payload = encoded blob" blob (seal (payload_of blob))
+
+(* An item with one update from origin 0, for hand-built states. *)
+let state_item name = { Node.State.name; value = "v"; ivv = [| 1; 0 |] }
+
+let state_shard ?(aux_items = [||]) ?(aux_log = [||]) items logs =
+  let dbvv = [| Array.length items; 0 |] in
+  { Node.State.items; dbvv; logs; aux_items; aux_log }
+
+(* Each state passes every checksum and breaks one rule of the layout;
+   decode must refuse it, naming the rule. *)
+let test_snapshot_rejects_crafted_states () =
+  let a = state_item "a" and b = state_item "b" in
+  let flat shard = { Node.State.id = 0; n = 2; shards = [| shard |] } in
+  (* At two shards, the name that the hash puts in shard 1. *)
+  let s1 =
+    List.find
+      (fun name -> Edb_core.Shard_map.shard_of ~shards:2 name = 1)
+      (List.init 16 (Printf.sprintf "k%d"))
+  in
+  let misplaced ?aux_items ?aux_log items logs =
+    {
+      Node.State.id = 0;
+      n = 2;
+      shards =
+        [| state_shard ?aux_items ?aux_log items logs; state_shard [||] [| [||]; [||] |] |];
+    }
+  in
+  let cases =
+    [
+      ( "index out of range",
+        flat (state_shard [| a; b |] [| [| (0, 1); (2, 2) |]; [||] |]),
+        "points at item 2 of 2" );
+      ( "unsorted names",
+        flat (state_shard [| b; a |] [| [| (0, 1); (1, 2) |]; [||] |]),
+        "not strictly ascending" );
+      ( "repeated name",
+        flat (state_shard [| a; a |] [| [| (0, 1); (1, 2) |]; [||] |]),
+        "not strictly ascending" );
+      ( "duplicate log item",
+        flat (state_shard [| a; b |] [| [| (0, 1); (0, 2) |]; [||] |]),
+        "two records for one item" );
+      ( "non-increasing seq",
+        flat (state_shard [| a; b |] [| [| (0, 2); (1, 2) |]; [||] |]),
+        "sequence numbers must increase" );
+      ( "item in the wrong shard",
+        misplaced [| state_item s1 |] [| [| (0, 1) |]; [||] |],
+        Printf.sprintf "%S filed under shard 0, owned by shard 1" s1 );
+      ( "aux item in the wrong shard",
+        misplaced ~aux_items:[| state_item s1 |] [||] [| [||]; [||] |],
+        Printf.sprintf "%S filed under shard 0, owned by shard 1" s1 );
+      ( "aux record in the wrong shard",
+        misplaced
+          ~aux_log:[| { Node.State.item = s1; ivv = [| 0; 0 |]; op = set "x" } |]
+          [||] [| [||]; [||] |],
+        Printf.sprintf "%S filed under shard 0, owned by shard 1" s1 );
+    ]
+  in
+  List.iter
+    (fun (what, state, reason) ->
+      match Snapshot.decode (Snapshot.encode_state state) with
+      | Ok _ -> Alcotest.failf "%s: the snapshot must not load" what
+      | Error msg ->
+        if not (Astring.String.is_infix ~affix:reason msg) then
+          Alcotest.failf "%s: error %S does not say %S" what msg reason)
+    cases;
+  (* A forged count: a thousand items claimed over a few bytes. *)
+  let forged =
+    let w = Codec.Writer.create () in
+    List.iter (Codec.Writer.varint w) [ 0; 2; 1; 1000; 0; 0 ];
+    let sealed = Codec.Writer.contents w in
+    String.sub sealed 0 (String.length sealed - 4)
+  in
+  match Snapshot.decode (seal forged) with
+  | Ok _ -> Alcotest.fail "a forged item count must not load"
+  | Error msg ->
+    Alcotest.(check bool) "forged count named" true
+      (Astring.String.is_infix ~affix:"item count 1000 exceeds" msg)
+
+(* Fuzz past the checksum: edit the v4 payload of a valid snapshot —
+   overwrite, insert or delete a few bytes — then re-seal every
+   checksum, so the structural decoder and [import_state] see the
+   damage. Decode must answer [Ok] or [Error], never raise. *)
+let prop_payload_fuzz_never_crashes =
+  let sharded_node () =
+    let node = Node.create ~id:1 ~n:3 ~shards:3 () in
+    List.iter (fun k -> Node.update node k (set ("v" ^ k))) [ "a"; "b"; "c"; "d"; "e" ];
+    node
+  in
+  let bases =
+    lazy
+      (Array.map
+         (fun node -> payload_of (Snapshot.encode node))
+         [| busy_node (); sharded_node () |])
+  in
+  QCheck2.Gen.(
+    (* Half the bytes are 0–2: a log index or seq delta nudged that
+       little is how a duplicate log item or a non-increasing seq
+       appears without the rest of the payload breaking first. *)
+    let byte = oneof [ int_bound 2; int_bound 255 ] in
+    let edit = triple (int_bound 2) (int_bound 10_000) byte in
+    QCheck2.Test.make ~name:"snapshot payload fuzz (re-sealed) never raises" ~count:2000
+      (pair bool (list_size (int_range 1 4) edit))
+      (fun (sharded, edits) ->
+        let payload = (Lazy.force bases).(if sharded then 1 else 0) in
+        let apply p (kind, position, byte) =
+          let len = String.length p in
+          let at = position mod (len + 1) in
+          let c = String.make 1 (Char.chr byte) in
+          match kind with
+          | 0 when at < len -> String.sub p 0 at ^ c ^ String.sub p (at + 1) (len - at - 1)
+          | 1 -> String.sub p 0 at ^ c ^ String.sub p at (len - at)
+          | _ when at < len -> String.sub p 0 at ^ String.sub p (at + 1) (len - at - 1)
+          | _ -> p
+        in
+        match Snapshot.decode (seal (List.fold_left apply payload edits)) with
+        | Ok _ | Error _ -> true))
+
 let suite =
   [
     Alcotest.test_case "codec scalars" `Quick test_codec_roundtrip_scalars;
@@ -370,4 +515,8 @@ let suite =
       test_adler32_rejects_bad_range;
     Alcotest.test_case "envelope trailer = reference" `Quick
       test_envelope_trailer_is_reference;
+    Alcotest.test_case "snapshot re-seal = encode" `Quick test_seal_matches_encode;
+    Alcotest.test_case "snapshot rejects crafted states" `Quick
+      test_snapshot_rejects_crafted_states;
+    QCheck_alcotest.to_alcotest prop_payload_fuzz_never_crashes;
   ]

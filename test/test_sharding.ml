@@ -1,6 +1,7 @@
 (* Sharded replicas (DESIGN.md §7): the shards=1 configuration must be
-   byte-for-byte the pre-sharding protocol (pinned wire and snapshot
-   fixtures), sharded sessions must skip converged shards individually,
+   byte-for-byte the pre-sharding protocol (pinned wire fixture), its
+   checkpoint is pinned in the v4 layout and the retired snapshot
+   layouts are refused, sharded sessions must skip converged shards individually,
    the sharded reply must survive the wire codec, a sharded cluster
    must converge to the same database as a flat one, and the durable
    layer must reject shard-count skew. *)
@@ -58,16 +59,25 @@ let test_flat_wire_fixture () =
     Alcotest.fail "shards=1 must produce a legacy Propagate reply");
   Alcotest.(check string) "pinned reply bytes" pinned_flat_reply (hex (encode_reply reply))
 
-(* Pinned fixture for the flat snapshot: version 2, no shard framing —
-   the exact blob a pre-sharding build would have written. *)
-let pinned_flat_snapshot =
-  "0800000000000000454442534e41503102000000000000007f03d7e200000000d200000000000000000000000000000002000000000000000200000000000000010000000000000061010000000000000031020000000000000001000000000000000000000000000000010000000000000062010000000000000032020000000000000001000000000000000000000000000000020000000000000002000000000000000000000000000000020000000000000002000000000000000100000000000000610100000000000000010000000000000062020000000000000000000000000000000000000000000000000000000000000005029bd8c408889b" [@ocamlformat "disable"]
+(* Pinned fixture for the v4 snapshot of a shards=1 node: varint
+   header, one shard section, log records as (item index, seq delta)
+   pairs. Any drift in what a checkpoint puts on disk fails here. *)
+let pinned_v4_snapshot =
+  "0800000000000000454442534e4150310400000000000000c301911e00000000210000000000000000020102016101310100010162013201000101000202000101010000003c0132189105edf2" [@ocamlformat "disable"]
 
-let test_flat_snapshot_fixture () =
+let test_v4_snapshot_fixture () =
   let n = Node.create ~id:0 ~n:2 () in
   Node.update n "a" (set "1");
   Node.update n "b" (set "2");
-  Alcotest.(check string) "pinned snapshot" pinned_flat_snapshot (hex (Snapshot.encode n))
+  Alcotest.(check string) "pinned snapshot" pinned_v4_snapshot (hex (Snapshot.encode n))
+
+(* The same state in the retired fixed-width layouts: a flat (v2)
+   snapshot, and the sharded (v3) one of a 2-shard node. *)
+let retired_v2_snapshot =
+  "0800000000000000454442534e41503102000000000000007f03d7e200000000d200000000000000000000000000000002000000000000000200000000000000010000000000000061010000000000000031020000000000000001000000000000000000000000000000010000000000000062010000000000000032020000000000000001000000000000000000000000000000020000000000000002000000000000000000000000000000020000000000000002000000000000000100000000000000610100000000000000010000000000000062020000000000000000000000000000000000000000000000000000000000000005029bd8c408889b" [@ocamlformat "disable"]
+
+let retired_v3_snapshot =
+  "0800000000000000454442534e41503103000000000000009b020d76000000002201000000000000000000000000000002000000000000000200000000000000020000000000000001000000000000006101000000000000003102000000000000000100000000000000000000000000000001000000000000006201000000000000003202000000000000000100000000000000000000000000000002000000000000000200000000000000000000000000000002000000000000000200000000000000010000000000000061010000000000000001000000000000006202000000000000000000000000000000000000000000000000000000000000000000000000000000020000000000000000000000000000000000000000000000020000000000000000000000000000000000000000000000000000000000000000000000000000000b02166d170655ba" [@ocamlformat "disable"]
 
 (* ---------- per-shard skipping ---------- *)
 
@@ -176,7 +186,7 @@ let test_sharded_matches_flat () =
   in
   Alcotest.(check bool) "flat and sharded reads agree" true (run 1 = run 4)
 
-(* ---------- sharded snapshot (v3) ---------- *)
+(* ---------- sharded snapshot ---------- *)
 
 let test_sharded_snapshot_roundtrip () =
   let original = Node.create ~id:1 ~n:3 ~shards:5 () in
@@ -199,18 +209,28 @@ let test_sharded_snapshot_roundtrip () =
     | Ok () -> ()
     | Error msg -> Alcotest.fail msg)
 
-(* A flat snapshot must decode into a 1-shard node (the v2 path — every
-   checkpoint written before sharding landed looks like this). *)
 let unhex h =
   String.init (String.length h / 2) (fun i ->
       Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
 
-let test_flat_snapshot_decodes () =
-  match Snapshot.decode (unhex pinned_flat_snapshot) with
-  | Error msg -> Alcotest.fail msg
-  | Ok node ->
-    Alcotest.(check int) "one shard" 1 (Node.shards node);
-    Alcotest.(check (option string)) "value survives" (Some "1") (Node.read node "a")
+(* Checkpoints in the retired layouts are refused by name, never
+   misparsed as v4. *)
+let test_retired_snapshots_refused () =
+  List.iter
+    (fun (blob, expected) ->
+      match Snapshot.decode (unhex blob) with
+      | Ok _ -> Alcotest.fail "a retired snapshot layout must not load"
+      | Error msg ->
+        Alcotest.(check string) "refused by name"
+          (Printf.sprintf
+             "unsupported snapshot: version %s layout; this build reads only \
+              version 4 snapshots"
+             expected)
+          msg)
+    [
+      (retired_v2_snapshot, "2 is the retired fixed-width flat");
+      (retired_v3_snapshot, "3 is the retired fixed-width sharded");
+    ]
 
 (* ---------- durable shard-count skew ---------- *)
 
@@ -255,13 +275,13 @@ let suite =
   [
     Alcotest.test_case "flat request shape" `Quick test_flat_request_shape;
     Alcotest.test_case "flat wire fixture (pinned)" `Quick test_flat_wire_fixture;
-    Alcotest.test_case "flat snapshot fixture (pinned)" `Quick test_flat_snapshot_fixture;
+    Alcotest.test_case "v4 snapshot fixture (pinned)" `Quick test_v4_snapshot_fixture;
     Alcotest.test_case "per-shard skipping" `Quick test_per_shard_skipping;
     Alcotest.test_case "summary short-circuit" `Quick test_summary_you_are_current;
     Alcotest.test_case "sharded reply wire round-trip" `Quick test_sharded_reply_roundtrip;
     Alcotest.test_case "sharded matches flat" `Quick test_sharded_matches_flat;
     Alcotest.test_case "sharded snapshot round-trip" `Quick test_sharded_snapshot_roundtrip;
-    Alcotest.test_case "flat (v2) snapshot decodes" `Quick test_flat_snapshot_decodes;
+    Alcotest.test_case "v2 and v3 snapshots refused" `Quick test_retired_snapshots_refused;
     Alcotest.test_case "durable rejects shard skew" `Quick test_durable_rejects_shard_skew;
     Alcotest.test_case "mixed shard counts rejected" `Quick test_mixed_shard_counts_rejected;
   ]
