@@ -938,8 +938,9 @@ let serve_cmd =
       value & opt int 4
       & info [ "max-sessions" ] ~docv:"K"
           ~doc:
-            "Concurrent anti-entropy sessions kept in flight (clamped to \
-             n-1 peers). 1 restores the old one-session-at-a-time loop.")
+            "Peers pulled per anti-entropy tick, one after another: each \
+             request carries the state the previous reply left (clamped \
+             to n-1 peers).")
   in
   let parse_peer s =
     match String.index_opt s '=' with
@@ -1046,8 +1047,8 @@ let cluster_cmd =
       value & opt int 4
       & info [ "max-sessions" ] ~docv:"K"
           ~doc:
-            "Concurrent anti-entropy sessions per daemon (clamped to n-1 \
-             peers).")
+            "Peers each daemon pulls per anti-entropy tick, one after \
+             another (clamped to n-1 peers).")
   in
   let run n kind dir updates kill no_kill seed deadline max_sessions =
     if n < 2 then `Error (true, "--n must be at least 2")

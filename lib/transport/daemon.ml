@@ -15,16 +15,20 @@ module T = Socket_transport
    served over a {!Socket_transport} select loop. The daemon is both
    sides of the protocol at once — it answers inbound requests and
    pushes, and runs its own anti-entropy timer as the initiator — and
-   nothing in the loop may block: up to [max_sessions] initiator
-   sessions are in flight at once (a table of per-peer state machines,
-   each just another fd in the select set with its reply deadline and
-   backoff handled as timers), every connection is non-blocking with a
-   per-connection output buffer (writable-fd interest, partial-write
-   resumption), and the WAL group-commits once per loop turn — no
-   record buffered for a peer is released to the wire before the batch
-   holding its commit record is durable. The timeout/retry arithmetic
-   is the shared {!Transport.Flow}; the counter charges are the shared
-   {!Transport.Charge}. *)
+   nothing in the loop may block. Each anti-entropy tick picks up to
+   [max_sessions] peers and pulls from them one after another: the next
+   request is built only when the previous attempt has ended, so it
+   carries the DBVV the previous reply left and no reply re-ships what
+   the one before it delivered. Every attempt is just another fd in the
+   select set with its reply deadline; a failed attempt leaves the
+   chain, which moves on at once, and its backoff retry is dialed from
+   its own timer beside the chain. Every connection is non-blocking
+   with a per-connection output buffer (writable-fd interest,
+   partial-write resumption), and the WAL group-commits once per loop
+   turn — no record buffered for a peer is released to the wire before
+   the batch holding its commit record is durable. The timeout/retry
+   arithmetic is the shared {!Transport.Flow}; the counter charges are
+   the shared {!Transport.Charge}. *)
 
 module Config = struct
   type t = {
@@ -163,10 +167,10 @@ module Control = struct
     reply
 end
 
-(* An initiator-side session state machine, one per peer, at most
-   [max_sessions] at a time: either an attempt is in flight (a dialed
-   non-blocking connection with a reply deadline) or the session sits
-   in its backoff window waiting to re-dial. *)
+(* An initiator-side session state machine, one per peer: either an
+   attempt is in flight (a dialed non-blocking connection with a reply
+   deadline) or the session sits in its backoff window waiting to
+   re-dial. *)
 type session = {
   s_peer : int;
   mutable attempt : int;
@@ -174,6 +178,12 @@ type session = {
   mutable deadline : float;
   mutable retry_at : float;
 }
+
+(* select(2) takes fds below FD_SETSIZE (1024) only, and [Unix.select]
+   raises [EINVAL] on any larger one. Dialed connections are bounded by
+   the peer count; accepted ones are bounded here, and a connection
+   accepted beyond the bound is closed at once, so its fd is reused. *)
+let max_accepted = 512
 
 type t = {
   config : Config.t;
@@ -186,10 +196,14 @@ type t = {
      clients. Non-blocking; a freshly accepted one is anonymous
      ([T.peer conn = -1]) until its handshake arrives via read. *)
   mutable conns : T.conn list;
-  (* In-flight initiator sessions, keyed by peer — the single
-     [mutable session : session option] this table replaced is the
-     [max_sessions = 1] special case. *)
+  (* Initiator sessions, keyed by peer: the chain's attempt and the
+     retries running beside it. *)
   sessions : (int, session) Hashtbl.t;
+  (* The tick's chain of pulls: [link] is the session whose attempt the
+     chain waits on, [chain] the peers the latest tick picked that are
+     not dialed yet. *)
+  mutable link : session option;
+  mutable chain : int list;
   (* Persistent non-blocking push connections, one per peer dialed on
      first flush: a slow push peer accumulates buffered frames (up to
      the transport's cap) instead of stalling the loop. *)
@@ -210,18 +224,38 @@ let close_session_conn s =
     s.sconn <- None
   | None -> ()
 
-let session_done t s =
+let is_link t s = match t.link with Some l -> l == s | None -> false
+
+(* The chain's attempt has ended — accepted, current, nak'd or failed:
+   dial the next peer the latest tick picked. Its request is encoded
+   now, from the state the ended attempt left. *)
+let rec advance_chain t =
+  t.link <- None;
+  match t.chain with
+  | [] -> ()
+  | peer :: rest ->
+    (* A picked peer had no session, and only the chain dials one. *)
+    t.chain <- rest;
+    let s = { s_peer = peer; attempt = 0; sconn = None; deadline = 0.0; retry_at = 0.0 } in
+    Hashtbl.replace t.sessions peer s;
+    t.link <- Some s;
+    dial_session t s
+
+and session_done t s =
   close_session_conn s;
-  Hashtbl.remove t.sessions s.s_peer
+  Hashtbl.remove t.sessions s.s_peer;
+  if is_link t s then advance_chain t
 
 (* A failed attempt — refused dial, send error, reply deadline passed,
    peer closed mid-session, corrupt reply — all funnel here, mirroring
-   the simulated transport's single timeout failure mode. *)
-let session_attempt_failed t s =
+   the simulated transport's single timeout failure mode. The session
+   leaves the chain, which moves on at once; its retry, if any, is
+   dialed from its backoff timer in [step]. *)
+and session_attempt_failed t s =
   close_session_conn s;
   let c = counters t in
   c.Counters.timeouts <- c.Counters.timeouts + 1;
-  match Transport.Flow.on_timeout t.config.Config.retry ~attempt:s.attempt with
+  (match Transport.Flow.on_timeout t.config.Config.retry ~attempt:s.attempt with
   | Transport.Flow.Abandon ->
     c.Counters.sessions_abandoned <- c.Counters.sessions_abandoned + 1;
     Hashtbl.remove t.sessions s.s_peer
@@ -231,9 +265,10 @@ let session_attempt_failed t s =
     s.deadline <- 0.0;
     s.retry_at <-
       Unix.gettimeofday ()
-      +. Transport.Flow.jittered t.config.Config.retry backoff ~u:(Prng.float t.prng 1.0)
+      +. Transport.Flow.jittered t.config.Config.retry backoff ~u:(Prng.float t.prng 1.0));
+  if is_link t s then advance_chain t
 
-let dial_session t s =
+and dial_session t s =
   let nd = node t in
   Transport.Charge.dial ~retry:(s.attempt > 0) (counters t);
   s.retry_at <- 0.0;
@@ -255,13 +290,6 @@ let dial_session t s =
       s.sconn <- Some conn;
       s.deadline <- Unix.gettimeofday () +. t.config.Config.retry.Transport.timeout)
 
-let start_session t ~peer =
-  if not (Hashtbl.mem t.sessions peer) then begin
-    let s = { s_peer = peer; attempt = 0; sconn = None; deadline = 0.0; retry_at = 0.0 } in
-    Hashtbl.replace t.sessions peer s;
-    dial_session t s
-  end
-
 let session_reply t s frame =
   match Frame.decode_reply (node t) ~src:s.s_peer frame with
   | Frame.Nak _ | Frame.Reply (Message.You_are_current, _) -> session_done t s
@@ -272,29 +300,36 @@ let session_reply t s frame =
 
 let session_capacity t = min t.config.Config.max_sessions (t.config.Config.n - 1)
 
-(* Each anti-entropy tick tops the session table up to capacity with
-   uniformly chosen distinct peers that are not already in-session —
-   with [max_sessions = 1] this is exactly the old one-random-peer
-   tick. *)
-let top_up_sessions t =
+(* Each anti-entropy tick picks, in uniformly random order, distinct
+   peers with no session, up to the free capacity, and makes them the
+   chain: they replace the peers an earlier tick picked and has not
+   dialed yet, and the first is dialed at once unless the chain is
+   still waiting on an attempt. With [max_sessions = 1] this is exactly
+   the one-random-peer tick. *)
+let tick_chain t =
   let cap = session_capacity t in
   let active = Hashtbl.length t.sessions in
-  if cap > active then begin
-    let free = ref [] in
-    for p = t.config.Config.n - 1 downto 0 do
-      if p <> t.config.Config.id && not (Hashtbl.mem t.sessions p) then free := p :: !free
-    done;
-    let free = Array.of_list !free in
-    let avail = Array.length free in
-    let need = min (cap - active) avail in
-    for k = 0 to need - 1 do
-      let j = k + Prng.int t.prng (avail - k) in
-      let picked = free.(j) in
-      free.(j) <- free.(k);
-      free.(k) <- picked;
-      start_session t ~peer:picked
-    done
-  end
+  let picks =
+    if cap <= active then []
+    else begin
+      let free = ref [] in
+      for p = t.config.Config.n - 1 downto 0 do
+        if p <> t.config.Config.id && not (Hashtbl.mem t.sessions p) then free := p :: !free
+      done;
+      let free = Array.of_list !free in
+      let avail = Array.length free in
+      let need = min (cap - active) avail in
+      for k = 0 to need - 1 do
+        let j = k + Prng.int t.prng (avail - k) in
+        let picked = free.(j) in
+        free.(j) <- free.(k);
+        free.(k) <- picked
+      done;
+      Array.to_list (Array.sub free 0 need)
+    end
+  in
+  t.chain <- picks;
+  if t.link = None then advance_chain t
 
 let drop_push_conn t dst conn =
   T.close_conn conn;
@@ -425,6 +460,8 @@ let create config =
           started = now;
           conns = [];
           sessions = Hashtbl.create 8;
+          link = None;
+          chain = [];
           push_conns = Hashtbl.create 8;
           (* Stagger first rounds so an N-process boot doesn't dial in
              lockstep. *)
@@ -491,7 +528,7 @@ let step t =
     (all_sessions t);
   if now >= t.next_ae then begin
     t.next_ae <- now +. t.config.Config.ae_period;
-    if t.config.Config.n > 1 then top_up_sessions t
+    if t.config.Config.n > 1 then tick_chain t
   end;
   if now >= t.next_push then begin
     (match t.channel with
@@ -545,14 +582,15 @@ let step t =
     let is_readable fd = List.memq fd readable in
     (match T.listen_fd t.transport with
     | Some lfd when is_readable lfd ->
-      let rec accept_loop () =
+      let rec accept_loop accepted =
         match T.accept_nonblocking t.transport with
         | Ok (Some conn) ->
-          t.conns <- conn :: t.conns;
-          accept_loop ()
+          if accepted >= max_accepted then T.close_conn conn
+          else t.conns <- conn :: t.conns;
+          accept_loop (accepted + 1)
         | Ok None | Error _ -> ()
       in
-      accept_loop ()
+      accept_loop (List.length t.conns)
     | _ -> ());
     t.conns <-
       List.filter

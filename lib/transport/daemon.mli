@@ -5,11 +5,14 @@
     The daemon is both protocol sides at once, and nothing in its loop
     blocks. Passively it answers requests (reply or nak) and applies
     pushes, journaling before applying. Actively each anti-entropy
-    tick tops a table of per-peer initiator sessions up to
-    [max_sessions] distinct random peers — every in-flight session is
-    just another fd in the select set, its reply deadline, retries and
-    abandonment handled as timers ({!Transport.Flow} arithmetic,
-    {!Transport.Charge} counters). Every connection is non-blocking
+    tick picks up to [max_sessions] distinct random peers and pulls
+    from them one after another: each request is built when the
+    previous attempt has ended, so it carries the DBVV the previous
+    reply left. An attempt is just another fd in the select set, its
+    reply deadline, retries and abandonment handled as timers
+    ({!Transport.Flow} arithmetic, {!Transport.Charge} counters); a
+    failed attempt leaves the chain, and its retry is dialed from its
+    backoff timer beside it. Every connection is non-blocking
     with a per-connection output buffer (writable-fd interest,
     partial-write resumption), so a slow peer never stops this node
     from serving; and the WAL group-commits once per loop turn — no
@@ -38,8 +41,10 @@ module Config : sig
         (** Self-terminate after this many seconds — the timeout
             guard for scripted runs. *)
     max_sessions : int;
-        (** Concurrent initiator sessions the anti-entropy timer keeps
-            in flight (clamped to [n - 1] live peers; at least 1). *)
+        (** Peers pulled per anti-entropy tick, one after another
+            (clamped to [n - 1]; at least 1). A peer whose session is
+            retrying takes one of these slots until it completes or is
+            abandoned. *)
   }
 
   val make :
@@ -59,7 +64,7 @@ module Config : sig
     t
   (** Defaults: 50 ms anti-entropy, the default retry policy tightened
       to a 0.5 s per-attempt timeout, no push, no auto-checkpoint, no
-      runtime bound, 4 concurrent sessions. *)
+      runtime bound, 4 peers pulled per tick. *)
 end
 
 (** The client-facing control protocol: one {!Edb_persist.Codec}
@@ -91,6 +96,11 @@ module Control : sig
   val decode_reply : string -> reply
   (** Raises {!Edb_persist.Codec.Reader.Corrupt}. *)
 end
+
+val max_accepted : int
+(** Accepted connections a daemon holds at once; one accepted beyond
+    this is closed at once. Keeps every fd in the select set below
+    FD_SETSIZE (1024), which [select(2)] cannot exceed. *)
 
 type t
 

@@ -118,6 +118,8 @@ let start ?(kind = `Unix) ?(ae_period = 0.03) ?retry ?push ?(seed = 1)
 
 let running t ~node = t.procs.(node).pid <> None
 
+let addr t ~node = t.procs.(node).p_addr
+
 let drop_control t ~node =
   match Hashtbl.find_opt t.controls node with
   | Some conn ->

@@ -34,10 +34,13 @@ val start :
     Daemons self-terminate after [max_runtime] (default 120 s), the
     harness's outermost hang guard. Control dials retry for
     [control_timeout] (default 5 s), covering daemon boot time.
-    [max_sessions] is passed through to every daemon (the concurrent
-    anti-entropy fan-out; the daemon's default is 4). *)
+    [max_sessions] is passed through to every daemon (peers pulled
+    per anti-entropy tick; the daemon's default is 4). *)
 
 val running : t -> node:int -> bool
+
+val addr : t -> node:int -> Socket_transport.addr
+(** The address the node's daemon listens on. *)
 
 val update :
   t -> node:int -> item:string -> Edb_store.Operation.t -> (unit, string) result

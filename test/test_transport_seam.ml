@@ -15,6 +15,7 @@ module Transport = Edb_transport.Transport
 module Sim_transport = Edb_transport.Sim_transport
 module Socket_transport = Edb_transport.Socket_transport
 module Harness = Edb_transport.Harness
+module Daemon = Edb_transport.Daemon
 module Invariant = Edb_check.Invariant
 module Session_client = Edb_transport.Session_client
 module Session = Session_client.Make (Edb_transport.Sim_transport)
@@ -526,9 +527,9 @@ let test_group_commit_sync_prefix () =
 
 (* ---------- N-daemon soak: concurrency, control load, kill -9 ---------- *)
 
-(* Five daemons with the concurrent event loop (max_sessions = 4,
-   fast anti-entropy ticks): overlapping initiator sessions, a stream
-   of control writes racing them, and a mid-batch kill -9 — with group
+(* Five daemons each pulling four peers per fast anti-entropy tick:
+   sessions of different daemons overlapping, a stream of control
+   writes racing them, and a mid-batch kill -9 — with group
    commit on, the Ack discipline means any acknowledged write must
    survive the crash (no reply precedes the durability of its commit
    record), and the cluster must converge checker-clean around the
@@ -606,6 +607,230 @@ let test_daemon_soak_concurrent () =
       Alcotest.(check bool) "anti-entropy actually ran concurrently" true
         (!total > n))
 
+
+(* ---------- the tick's chain of pulls ---------- *)
+
+(* Two writers, one reader, no waiting between writes. Each tick pulls
+   its peers one after another, and each request carries the DBVV the
+   previous reply left, so no source ships a copy its recipient already
+   holds: the copies sources shipped (items_examined) match the copies
+   recipients adopted (items_copied). Pulling both peers at once
+   shipped 900 copies for 600 adopted here. *)
+let test_daemon_chain_ships_no_repeats () =
+  let n = 3 and writes = 300 in
+  let h = Harness.start ~seed:66 ~dir:(cluster_dir "chain") ~n () in
+  Fun.protect
+    ~finally:(fun () -> Harness.shutdown h)
+    (fun () ->
+      for i = 0 to writes - 1 do
+        let node = i mod 2 in
+        require
+          (Harness.update h ~node ~item:(Printf.sprintf "w%d.n%d" i node)
+             (set (string_of_int i)))
+      done;
+      await h;
+      let sum name =
+        let total = ref 0 in
+        for node = 0 to n - 1 do
+          total := !total + List.assoc name (require (Harness.counters_of h ~node))
+        done;
+        !total
+      in
+      let shipped = sum "items_examined" and adopted = sum "items_copied" in
+      Alcotest.(check int) "every write adopted once by each other node"
+        (writes * (n - 1)) adopted;
+      (* A retry runs beside the chain, so a timed-out attempt on a
+         loaded host may overlap it: allow a few percent. *)
+      if shipped > adopted + (adopted / 20) then
+        Alcotest.failf "shipped %d copies for %d adopted" shipped adopted)
+
+(* The upper bound on reply timeouts a peer that never answers can
+   cause in [window] seconds: its first attempt starts at once, every
+   retry waits out its (unjittered) backoff, and an abandoned peer is
+   picked again at once. *)
+let hung_peer_timeouts policy ~window =
+  let rec go at attempt count =
+    let fails_at = at +. policy.Transport.timeout in
+    if fails_at > window then count
+    else
+      match Transport.Flow.on_timeout policy ~attempt with
+      | Transport.Flow.Abandon -> go fails_at 0 (count + 1)
+      | Transport.Flow.Retry { attempt; backoff } ->
+        go (fails_at +. backoff) attempt (count + 1)
+  in
+  go 0.0 0 0
+
+(* One live peer and one that accepts connections and never answers
+   (a listening socket nobody accepts from). A hung attempt costs the
+   chain one reply timeout, then the chain moves on and the retry runs
+   beside it: every write on the live peer reaches the daemon within a
+   reply timeout plus a few ticks, and the hung peer is dialed on its
+   backoff schedule, not on every tick. Both daemons run in this
+   process, stepped in turn. *)
+let test_daemon_hung_peer_does_not_stall () =
+  let dir = cluster_dir "hung" in
+  let path name = Filename.concat dir name in
+  let hung_path = path "hung.sock" in
+  (try Unix.unlink hung_path with Unix.Unix_error _ -> ());
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX hung_path);
+  Unix.listen lfd 64;
+  let tick = 0.02 in
+  let retry =
+    { Transport.default_retry_policy with timeout = 0.25; backoff_base = 0.25; jitter = 0.0 }
+  in
+  let addr id = Socket_transport.Unix_path (path (Printf.sprintf "d%d.sock" id)) in
+  let hung = (2, Socket_transport.Unix_path hung_path) in
+  let daemon id ~peer =
+    require
+      (Daemon.create
+         (Daemon.Config.make ~ae_period:tick ~retry ~seed:77 ~id ~n:3
+            ~dir:(path (Printf.sprintf "node%d" id))
+            ~listen:(addr id)
+            ~peers:[ (peer, addr peer); hung ]
+            ()))
+  in
+  let a = daemon 0 ~peer:1 in
+  let b = daemon 1 ~peer:0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.shutdown a;
+      Daemon.shutdown b;
+      Unix.close lfd;
+      try Unix.unlink hung_path with Unix.Unix_error _ -> ())
+    (fun () ->
+      let started = Unix.gettimeofday () in
+      let window = 2.0 in
+      let worst = ref 0.0 and writes = ref 0 in
+      while Unix.gettimeofday () -. started < window do
+        let item = Printf.sprintf "w%d" !writes in
+        (* Straight into the live peer's node: only propagation is
+           under test here. *)
+        Node.update (Daemon.node b) item (set "live");
+        let written = Unix.gettimeofday () in
+        while Node.read (Daemon.node a) item = None && Unix.gettimeofday () -. written < window do
+          Daemon.step a;
+          Daemon.step b
+        done;
+        worst := Float.max !worst (Unix.gettimeofday () -. written);
+        incr writes
+      done;
+      let elapsed = Unix.gettimeofday () -. started in
+      let limit = retry.Transport.timeout +. (10.0 *. tick) in
+      if !worst > limit then
+        Alcotest.failf "a write took %.3f s to arrive (limit %.3f s)" !worst limit;
+      let timeouts = (Node.counters (Daemon.node a)).Counters.timeouts in
+      let schedule = hung_peer_timeouts retry ~window:elapsed in
+      if timeouts < 1 || timeouts > schedule then
+        Alcotest.failf "%d reply timeouts in %.2f s; the backoff schedule allows 1..%d"
+          timeouts elapsed schedule)
+
+(* ---------- accepted connections stay under FD_SETSIZE ---------- *)
+
+(* select(2) cannot watch an fd of 1024 or more, so a daemon must never
+   hold one. Flood it with idle connections well past that: it accepts
+   up to its bound, closes the rest, still answers a Ping on a control
+   connection opened before the flood, and still pulls a write made on
+   the other node. The connections are plain fds of this process. *)
+let test_daemon_survives_connection_flood () =
+  let h = Harness.start ~seed:88 ~dir:(cluster_dir "flood") ~n:2 () in
+  let flood = ref [] in
+  let client =
+    match Socket_transport.create ~id:2 ~peers:[ (1, Harness.addr h ~node:1) ] () with
+    | Ok t -> t
+    | Error e -> Alcotest.fail ("client create: " ^ e)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !flood;
+      Socket_transport.close client;
+      Harness.shutdown h)
+    (fun () ->
+      let control =
+        (* The first dials may race the daemon's boot. *)
+        let deadline = Unix.gettimeofday () +. 5.0 in
+        let rec dial () =
+          match Socket_transport.connect client ~peer:1 with
+          | Ok conn -> conn
+          | Error e ->
+            if Unix.gettimeofday () > deadline then Alcotest.fail ("control dial: " ^ e);
+            Unix.sleepf 0.02;
+            dial ()
+        in
+        dial ()
+      in
+      let ping () =
+        let request = Daemon.Control.encode_request Daemon.Control.Ping in
+        match Socket_transport.send control (Transport.Record.control request) with
+        | Error e -> Error e
+        | Ok () -> (
+          match Socket_transport.recv ~timeout:5.0 control with
+          | Error e -> Error e
+          | Ok record -> (
+            match Transport.Record.classify record with
+            | Ok (Transport.Record.Control reply)
+              when Daemon.Control.decode_reply reply = Daemon.Control.Ack ->
+              Ok ()
+            | _ -> Error "unexpected reply to Ping"))
+      in
+      require (ping ());
+      (* The harness's control connections too are opened before the
+         flood: this process's own select cannot watch a high fd
+         either. *)
+      for node = 0 to 1 do
+        ignore (require (Harness.read h ~node ~item:"after.flood") : string option)
+      done;
+      let sockaddr =
+        match Harness.addr h ~node:1 with
+        | Socket_transport.Unix_path p -> Unix.ADDR_UNIX p
+        | Socket_transport.Tcp _ -> Alcotest.fail "expected a Unix-domain daemon"
+      in
+      let target = 1100 in
+      let limited = ref None in
+      let deadline = Unix.gettimeofday () +. 20.0 in
+      while List.length !flood < target && !limited = None do
+        match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
+        | exception Unix.Unix_error (e, _, _) -> limited := Some (Unix.error_message e)
+        | fd -> (
+          Unix.set_nonblock fd;
+          match Unix.connect fd sockaddr with
+          | () -> flood := fd :: !flood
+          | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
+            (* The backlog is full until the daemon's next accept. *)
+            Unix.close fd;
+            if Unix.gettimeofday () > deadline then
+              Alcotest.failf "the daemon stopped accepting after %d connections"
+                (List.length !flood);
+            Unix.sleepf 0.001
+          | exception Unix.Unix_error (e, _, _) ->
+            Unix.close fd;
+            Alcotest.failf "connection %d refused: %s" (List.length !flood)
+              (Unix.error_message e))
+      done;
+      (match !limited with
+      | Some why when List.length !flood <= Daemon.max_accepted ->
+        Printf.eprintf
+          "connection flood stopped by this host's fd limit at %d connections (%s), \
+           not past the daemon's bound of %d: the bound was not exercised\n%!"
+          (List.length !flood) why Daemon.max_accepted;
+        Alcotest.skip ()
+      | _ -> ());
+      (* Let the daemon turn over the whole flood before probing it. *)
+      Unix.sleepf 0.2;
+      require (ping ());
+      require (Harness.update h ~node:0 ~item:"after.flood" (set "pulled"));
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      let rec pulled () =
+        match Harness.read h ~node:1 ~item:"after.flood" with
+        | Ok (Some "pulled") -> ()
+        | Ok _ when Unix.gettimeofday () < deadline ->
+          Unix.sleepf 0.02;
+          pulled ()
+        | Ok _ -> Alcotest.fail "the flooded daemon did not pull the write"
+        | Error e -> Alcotest.fail ("flooded daemon: " ^ e)
+      in
+      pulled ())
+
 let suite =
   [
     Alcotest.test_case "flow: backoff ladder arithmetic" `Quick
@@ -634,4 +859,10 @@ let suite =
       test_group_commit_sync_prefix;
     Alcotest.test_case "daemons: 5-process soak with kill -9 under load" `Quick
       test_daemon_soak_concurrent;
+    Alcotest.test_case "daemons: chained pulls ship no copy twice" `Quick
+      test_daemon_chain_ships_no_repeats;
+    Alcotest.test_case "daemon: a hung peer does not stall the chain" `Quick
+      test_daemon_hung_peer_does_not_stall;
+    Alcotest.test_case "daemon: survives a flood of idle connections" `Quick
+      test_daemon_survives_connection_flood;
   ]
